@@ -36,7 +36,6 @@ from .formulas import (
     format_formula,
     is_negation_free,
     parse,
-    predicates_in,
     relations_in,
 )
 from .labeling import Labeling, el_label, ground_constants, query_label

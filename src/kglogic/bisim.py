@@ -24,9 +24,6 @@ class ColorMap:
     def colors(self, rnd: int) -> list[int]:
         return self.rounds[rnd]
 
-    def n_rounds(self) -> int:
-        return len(self.rounds) - 1
-
     def partition(self, rnd: int) -> dict[int, tuple[int, ...]]:
         groups: dict[int, list[int]] = {}
         for v, c in enumerate(self.rounds[rnd]):

@@ -53,9 +53,6 @@ class TruthTable:
         row = self.row_set(fid)
         return [1 if v in row else 0 for v in range(self.n_entities)]
 
-    def formula_ids(self) -> list[int]:
-        return sorted(self._rows)
-
 
 # a plain dict, a labeling.Labeling, or None
 BindingLike = Optional[object]
@@ -140,6 +137,16 @@ def model_check(
 _COMBINATORS = ("and", "not-left", "or")
 
 
+def check_constant_free(arena: FormulaArena, g1: int, g2: int) -> None:
+    """Reject a head/tail sentence pair in which either side names a constant."""
+    for name, g in (("g1", g1), ("g2", g2)):
+        consts = constants_in(arena, g)
+        if consts:
+            raise EvaluationError(
+                f"{name} must be constant-free, found @{sorted(consts)[0]}"
+            )
+
+
 def check_sentence_pair(
     store: TripleStore,
     arena: FormulaArena,
@@ -156,12 +163,7 @@ def check_sentence_pair(
     """
     if combinator not in _COMBINATORS:
         raise EvaluationError(f"unknown combinator {combinator!r}")
-    for name, g in (("g1", g1), ("g2", g2)):
-        consts = constants_in(arena, g)
-        if consts:
-            raise EvaluationError(
-                f"{name} must be constant-free, found @{sorted(consts)[0]}"
-            )
+    check_constant_free(arena, g1, g2)
     store._check_entity(h)
     store._check_entity(t)
     b1 = model_check(store, arena, g1).bit(g1, h)

@@ -84,7 +84,10 @@ def _labeling_for(
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    split = tuple(float(x) for x in args.split.split(","))
+    try:
+        split = tuple(float(x) for x in args.split.split(","))
+    except ValueError:
+        split = ()
     if len(split) != 3:
         raise KGLogicError("--split needs three comma-separated fractions")
     cfg = SynthConfig(
@@ -147,6 +150,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         text = _echo_header(args, skip=("out",)) + report.to_text()
         _write_output(text, args.out, "report.txt")
         return 0
+    if args.formula is None:
+        raise KGLogicError("run --kg needs --formula")
     store = _load_kg(args)
     arena = FormulaArena()
     root = parse(Path(args.formula).read_text().strip(), arena)

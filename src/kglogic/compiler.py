@@ -1,12 +1,12 @@
 """Compile formulas into explicit integer message-passing networks.
 
 Each distinct subformula owns one coordinate (column).  A column is wired by
-case: atoms copy themselves through the diagonal of the combination matrix,
-conjunctions sum their two inputs with bias -1, negations flip one input with
-bias +1, and a diamond over relation R with threshold N sums the incoming
-R-neighbors' input coordinate with bias -N+1.  Running the clamp activation
-min(max(0, x), 1) for as many rounds as there are columns makes every
-coordinate equal its subformula's truth bit at every entity.
+case: atoms copy themselves, conjunctions sum their two inputs with bias -1,
+negations flip one input with bias +1, and a diamond over relation R with
+threshold N sums the incoming R-neighbors' input coordinate with bias -N+1.
+Running the clamp activation min(max(0, x), 1) for as many rounds as there
+are columns makes every coordinate equal its subformula's truth bit at every
+entity.
 """
 
 from __future__ import annotations
@@ -27,21 +27,26 @@ from .formulas import (
     format_formula,
 )
 
+# One input of a column: (relation, row, weight).  relation None is a
+# combination wire reading column `row` at the same entity; a relation name is
+# an aggregation wire summing column `row` over the incoming R-neighbors.
+Wire = tuple[Optional[str], int, int]
+
 
 @dataclass
 class CompiledNet:
-    """Integer network over the subformula dimension.
+    """Integer network over the subformula dimension, stored as sparse wiring.
 
-    comb is the dim x dim combination matrix (row = input coordinate,
-    column = output coordinate), agg maps relation name to a dim x dim
-    aggregation matrix, bias is a dim-vector, and out_index is the root
-    subformula's column.  atoms records how each atomic column is initialized:
-    ("top", None), ("pred", name), or ("const", name).
+    inputs[col] lists the nonzero wires into column col, at most one per
+    (relation, row): combination wires first by row, then aggregation wires
+    by (relation, row).  A compiled column has at most two wires.  bias is a
+    dim-vector and out_index is the root subformula's column.  atoms records
+    how each atomic column is initialized: ("top", None), ("pred", name), or
+    ("const", name).  comb and agg are dense read-only views of the wires.
     """
 
     dim: int
-    comb: list[list[int]]
-    agg: dict[str, list[list[int]]]
+    inputs: list[list[Wire]]
     bias: list[int]
     out_index: int
     atoms: dict[int, tuple[str, Optional[str]]]
@@ -49,67 +54,73 @@ class CompiledNet:
     column_formulas: list[str] = field(default_factory=list)
     column_cases: list[int] = field(default_factory=list)
 
+    def _matrix(self, relation: Optional[str]) -> list[list[int]]:
+        matrix = [[0] * self.dim for _ in range(self.dim)]
+        for col, wires in enumerate(self.inputs):
+            for rel, row, weight in wires:
+                if rel == relation:
+                    matrix[row][col] = weight
+        return matrix
+
+    @property
+    def comb(self) -> list[list[int]]:
+        """dim x dim combination matrix (row = input, column = output)."""
+        return self._matrix(None)
+
+    @property
+    def agg(self) -> dict[str, list[list[int]]]:
+        """Relation name -> dim x dim aggregation matrix."""
+        rels = dict.fromkeys(rel for wires in self.inputs for rel, _, _ in wires)
+        return {rel: self._matrix(rel) for rel in rels if rel is not None}
+
 
 def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
     """Build the network for `root`; a pure function of the hash-consed arena."""
     order = enumerate_subformulas(arena, root)
     dim = len(order)
     col_of = {fid: i for i, fid in enumerate(order)}
-    comb = [[0] * dim for _ in range(dim)]
-    agg: dict[str, list[list[int]]] = {}
+    inputs: list[list[Wire]] = []
     bias = [0] * dim
     atoms: dict[int, tuple[str, Optional[str]]] = {}
-    column_formulas = [format_formula(arena, fid) for fid in order]
     column_cases = [0] * dim
 
     for col, fid in enumerate(order):
         node = arena.node(fid)
-        if isinstance(node, Top):
-            comb[col][col] = 1
-            atoms[col] = ("top", None)
-            column_cases[col] = 0
-        elif isinstance(node, Pred):
-            comb[col][col] = 1
-            atoms[col] = ("pred", node.name)
-            column_cases[col] = 0
-        elif isinstance(node, Const):
-            comb[col][col] = 1
-            atoms[col] = ("const", node.name)
-            column_cases[col] = 0
+        if isinstance(node, (Top, Pred, Const)):
+            wires = [(None, col, 1)]
+            if isinstance(node, Top):
+                atoms[col] = ("top", None)
+            else:
+                atoms[col] = ("pred" if isinstance(node, Pred) else "const", node.name)
         elif isinstance(node, And):
-            j, k = col_of[node.left], col_of[node.right]
+            j, k = sorted((col_of[node.left], col_of[node.right]))
             if j == k:
                 # f & f collapses to one shared input; pass it through.
-                comb[j][col] = 1
+                wires = [(None, j, 1)]
             else:
-                comb[j][col] = 1
-                comb[k][col] = 1
+                wires = [(None, j, 1), (None, k, 1)]
                 bias[col] = -1
             column_cases[col] = 1
         elif isinstance(node, Not):
-            comb[col_of[node.sub]][col] = -1
+            wires = [(None, col_of[node.sub], -1)]
             bias[col] = 1
             column_cases[col] = 2
         elif isinstance(node, Diamond):
-            matrix = agg.get(node.relation)
-            if matrix is None:
-                matrix = [[0] * dim for _ in range(dim)]
-                agg[node.relation] = matrix
-            matrix[col_of[node.sub]][col] = 1
+            wires = [(node.relation, col_of[node.sub], 1)]
             bias[col] = -node.count + 1
             column_cases[col] = 3
         else:  # pragma: no cover - exhaustive over the AST
             raise EvaluationError(f"cannot compile node {node!r}")
+        inputs.append(wires)
 
     return CompiledNet(
         dim=dim,
-        comb=comb,
-        agg=agg,
+        inputs=inputs,
         bias=bias,
         out_index=dim - 1,
         atoms=atoms,
         layers=dim,
-        column_formulas=column_formulas,
+        column_formulas=[format_formula(arena, fid) for fid in order],
         column_cases=column_cases,
     )
 
@@ -117,16 +128,12 @@ def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
 def explain(net: CompiledNet) -> str:
     """Human-readable per-column wiring report."""
     lines = []
-    for col in range(net.dim):
-        entries = []
-        for row in range(net.dim):
-            if net.comb[row][col]:
-                entries.append(f"comb[{row},{col}]={net.comb[row][col]}")
-        for rel in sorted(net.agg):
-            matrix = net.agg[rel]
-            for row in range(net.dim):
-                if matrix[row][col]:
-                    entries.append(f"agg[{rel}][{row},{col}]={matrix[row][col]}")
+    for col, wires in enumerate(net.inputs):
+        entries = [
+            f"comb[{row},{col}]={weight}" if rel is None
+            else f"agg[{rel}][{row},{col}]={weight}"
+            for rel, row, weight in wires
+        ]
         if net.bias[col]:
             entries.append(f"bias[{col}]={net.bias[col]}")
         atom = net.atoms.get(col)
@@ -142,7 +149,11 @@ def explain(net: CompiledNet) -> str:
 
 
 def net_to_text(net: CompiledNet) -> str:
-    """Serialize with a fixed section and key order."""
+    """Serialize with a fixed section and key order.
+
+    comb lines are row-major; agg lines are sorted by relation, then
+    row-major.
+    """
     lines = [
         f"dim\t{net.dim}",
         f"layers\t{net.layers}",
@@ -159,77 +170,90 @@ def net_to_text(net: CompiledNet) -> str:
         lines.append(f"case\t{col}\t{case}")
     for col, text in enumerate(net.column_formulas):
         lines.append(f"formula\t{col}\t{text}")
-    for row in range(net.dim):
-        for col in range(net.dim):
-            if net.comb[row][col]:
-                lines.append(f"comb\t{row}\t{col}\t{net.comb[row][col]}")
-    for rel in sorted(net.agg):
-        matrix = net.agg[rel]
-        for row in range(net.dim):
-            for col in range(net.dim):
-                if matrix[row][col]:
-                    lines.append(f"agg\t{rel}\t{row}\t{col}\t{matrix[row][col]}")
+    comb, agg = [], []
+    for col, wires in enumerate(net.inputs):
+        for rel, row, weight in wires:
+            if rel is None:
+                comb.append((row, col, weight))
+            else:
+                agg.append((rel, row, col, weight))
+    lines.extend("comb\t%d\t%d\t%d" % entry for entry in sorted(comb))
+    lines.extend("agg\t%s\t%d\t%d\t%d" % entry for entry in sorted(agg))
     return "\n".join(lines) + "\n"
 
 
+# section -> number of tab-separated fields (an atom of kind top has 3)
+_FIELD_COUNTS = {
+    "dim": 2, "layers": 2, "out_index": 2, "bias": 2, "atom": 4,
+    "case": 3, "formula": 3, "comb": 4, "agg": 5,
+}
+
+
+def _num(lineno: int, value: str, bound: Optional[int] = None) -> int:
+    """Integer field of a net text line; with `bound`, an index in [0, bound)."""
+    try:
+        i = int(value)
+    except ValueError:
+        raise EvaluationError(f"line {lineno}: malformed entry {value!r}") from None
+    if bound is not None and not 0 <= i < bound:
+        raise EvaluationError(f"line {lineno}: index {i} out of range [0, {bound})")
+    return i
+
+
 def net_from_text(text: str) -> CompiledNet:
-    """Inverse of net_to_text."""
-    header: dict[str, int] = {}
-    bias: list[int] = []
-    atoms: dict[int, tuple[str, Optional[str]]] = {}
-    cases: dict[int, int] = {}
-    formulas: dict[int, str] = {}
-    comb_entries: list[tuple[int, int, int]] = []
-    agg_entries: list[tuple[str, int, int, int]] = []
+    """Inverse of net_to_text; a malformed line raises with its line number."""
+    header: dict[str, tuple[int, str]] = {}
+    sections: dict[str, list[tuple[int, list[str]]]] = {k: [] for k in _FIELD_COUNTS}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
-        fields = line.split("\t")
-        key = fields[0]
-        try:
-            if key in ("dim", "layers", "out_index"):
-                header[key] = int(fields[1])
-            elif key == "bias":
-                bias = [int(x) for x in fields[1].split(" ")] if fields[1] else []
-            elif key == "atom":
-                col = int(fields[1])
-                atoms[col] = (fields[2], fields[3] if len(fields) > 3 else None)
-            elif key == "case":
-                cases[int(fields[1])] = int(fields[2])
-            elif key == "formula":
-                formulas[int(fields[1])] = fields[2]
-            elif key == "comb":
-                comb_entries.append((int(fields[1]), int(fields[2]), int(fields[3])))
-            elif key == "agg":
-                agg_entries.append(
-                    (fields[1], int(fields[2]), int(fields[3]), int(fields[4]))
-                )
-            else:
-                raise EvaluationError(f"line {lineno}: unknown section {key!r}")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, EvaluationError):
-                raise
-            raise EvaluationError(f"line {lineno}: malformed {key!r} entry") from exc
-    for required in ("dim", "layers", "out_index"):
-        if required not in header:
-            raise EvaluationError(f"missing {required!r} header")
-    dim = header["dim"]
+        key, *fields = line.split("\t")
+        if key not in sections:
+            raise EvaluationError(f"line {lineno}: unknown section {key!r}")
+        want = 3 if key == "atom" and fields[1:2] == ["top"] else _FIELD_COUNTS[key]
+        if len(fields) + 1 != want:
+            raise EvaluationError(
+                f"line {lineno}: {key!r} entry needs {want} tab-separated fields, "
+                f"got {len(fields) + 1}"
+            )
+        if want == 2:
+            header[key] = (lineno, fields[0])
+        else:
+            sections[key].append((lineno, fields))
+    for key in ("dim", "layers", "out_index", "bias"):
+        if key not in header:
+            raise EvaluationError(f"missing {key!r} header")
+
+    dim = _num(*header["dim"])
+    lineno, text_bias = header["bias"]
+    bias = [_num(lineno, b) for b in text_bias.split(" ")] if text_bias else []
     if len(bias) != dim:
         raise EvaluationError("bias length does not match dim")
-    comb = [[0] * dim for _ in range(dim)]
-    for row, col, val in comb_entries:
-        comb[row][col] = val
-    agg: dict[str, list[list[int]]] = {}
-    for rel, row, col, val in agg_entries:
-        agg.setdefault(rel, [[0] * dim for _ in range(dim)])[row][col] = val
+
+    weights: list[dict[tuple[Optional[str], int], int]] = [{} for _ in range(dim)]
+    wire_lines = [(ln, None, *f) for ln, f in sections["comb"]]
+    wire_lines += [(ln, *f) for ln, f in sections["agg"]]
+    for ln, rel, row, col, weight in wire_lines:
+        weights[_num(ln, col, dim)][(rel, _num(ln, row, dim))] = _num(ln, weight)
+    formulas = {_num(ln, f[0], dim): f[1] for ln, f in sections["formula"]}
+    cases = {_num(ln, f[0], dim): _num(ln, f[1]) for ln, f in sections["case"]}
+    inputs = [
+        sorted(
+            ((rel, row, w) for (rel, row), w in col.items() if w),
+            key=lambda wire: (wire[0] is not None, wire[0] or "", wire[1]),
+        )
+        for col in weights
+    ]
     return CompiledNet(
         dim=dim,
-        comb=comb,
-        agg=agg,
+        inputs=inputs,
         bias=bias,
-        out_index=header["out_index"],
-        atoms=atoms,
-        layers=header["layers"],
+        out_index=_num(*header["out_index"], dim),
+        atoms={
+            _num(ln, f[0], dim): (f[1], f[2] if len(f) > 2 else None)
+            for ln, f in sections["atom"]
+        },
+        layers=_num(*header["layers"]),
         column_formulas=[formulas.get(i, "") for i in range(dim)],
         column_cases=[cases.get(i, 0) for i in range(dim)],
     )

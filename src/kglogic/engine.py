@@ -50,11 +50,6 @@ class FeatureMatrix:
                 out[v][col] = 1
         return out
 
-    def copy(self) -> "FeatureMatrix":
-        return FeatureMatrix(
-            self.n_entities, self.n_cols, [set(s) for s in self.cols], self.round
-        )
-
 
 def _assert_closure(x: FeatureMatrix) -> None:
     for col, members in enumerate(x.cols):
@@ -103,25 +98,6 @@ def init_features(
     return x
 
 
-def _column_plans(store: TripleStore, net: CompiledNet):
-    comb_cols: list[list[tuple[int, int]]] = [[] for _ in range(net.dim)]
-    for row in range(net.dim):
-        for col in range(net.dim):
-            if net.comb[row][col]:
-                comb_cols[col].append((row, net.comb[row][col]))
-    agg_cols: list[list[tuple[int, int]]] = [[] for _ in range(net.dim)]
-    for rel in sorted(net.agg):
-        rid = store.relation_id(rel)
-        matrix = net.agg[rel]
-        for row in range(net.dim):
-            for col in range(net.dim):
-                if matrix[row][col]:
-                    if matrix[row][col] != 1:
-                        raise EvaluationError("aggregation weights must be 0 or 1")
-                    agg_cols[col].append((rid, row))
-    return comb_cols, agg_cols
-
-
 def _run(
     store: TripleStore,
     net: CompiledNet,
@@ -139,22 +115,31 @@ def _run(
             f"{store.n_entities}"
         )
     dbg = debug_enabled(debug)
-    comb_cols, agg_cols = _column_plans(store, net)
+    # the net's wires with each relation name resolved to its id
+    plans: list[list[tuple[Optional[int], int, int]]] = []
+    for wires in net.inputs:
+        if any(rel is not None and weight != 1 for rel, _, weight in wires):
+            raise EvaluationError("aggregation weights must be 0 or 1")
+        plans.append([
+            (rel if rel is None else store.relation_id(rel), row, weight)
+            for rel, row, weight in wires
+        ])
     n = store.n_entities
     cols = [set(s) for s in x0.cols]
-    history = [FeatureMatrix(n, net.dim, [set(s) for s in cols], 0)]
+    history = [FeatureMatrix(n, net.dim, cols, 0)]
 
     for rnd in range(1, net.layers + 1):
         new_cols: list[set[int]] = []
-        for col in range(net.dim):
+        for col, plan in enumerate(plans):
             delta: dict[int, int] = {}
-            for row, weight in comb_cols[col]:
-                for v in cols[row]:
-                    delta[v] = delta.get(v, 0) + weight
-            for rid, row in agg_cols[col]:
-                for u in cols[row]:
-                    for t in store.successors(rid, u):
-                        delta[t] = delta.get(t, 0) + 1
+            for rid, row, weight in plan:
+                if rid is None:
+                    for v in cols[row]:
+                        delta[v] = delta.get(v, 0) + weight
+                else:
+                    for u in cols[row]:
+                        for t in store.successors(rid, u):
+                            delta[t] = delta.get(t, 0) + 1
             b = net.bias[col]
             if b >= 1:
                 members = set(range(n))
@@ -164,12 +149,12 @@ def _run(
             else:
                 members = {v for v, d in delta.items() if b + d >= 1}
             new_cols.append(members)
+        # every round builds fresh sets, so snapshots can share them
         cols = new_cols
-        snapshot = FeatureMatrix(n, net.dim, [set(s) for s in cols], rnd)
         if dbg:
-            _assert_closure(snapshot)
+            _assert_closure(FeatureMatrix(n, net.dim, cols, rnd))
         if record:
-            history.append(snapshot)
+            history.append(FeatureMatrix(n, net.dim, cols, rnd))
 
     final = FeatureMatrix(n, net.dim, cols, net.layers)
     return final, history

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .checker import model_check
+from .checker import check_constant_free, model_check
 from .compiler import compile_formula
 from .engine import forward, init_features, readout
 from .errors import EvaluationError
@@ -72,12 +72,7 @@ def score_query(
             combinator = DEFAULT_ERA_PAIR[2]
         else:
             g1, g2, combinator = era_pair
-        for name, g in (("g1", g1), ("g2", g2)):
-            consts = constants_in(arena, g)
-            if consts:
-                raise EvaluationError(
-                    f"{name} must be constant-free, found @{sorted(consts)[0]}"
-                )
+        check_constant_free(arena, g1, g2)
         b1 = model_check(store, arena, g1).bit(g1, h)
         g2_row = model_check(store, arena, g2).row_set(g2)
         return [

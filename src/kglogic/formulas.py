@@ -153,9 +153,7 @@ class _Parser:
             end = text.find(")", self.pos)
             if end < 0:
                 raise FormulaSyntaxError("unterminated predicate name", pos)
-            name = text[self.pos : end]
-            if not name:
-                raise FormulaSyntaxError("empty predicate name", self.pos)
+            name = self._delimited_name(end, "predicate")
             self.pos = end + 1
             return self.arena.pred(name)
         if text.startswith("top", pos) and (
@@ -173,15 +171,26 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {what} name", start)
         return self.text[start : self.pos]
 
+    def _delimited_name(self, end: int, what: str) -> str:
+        # Names are written into tab- and line-separated files, so neither a
+        # tab nor a newline may occur in them.
+        name = self.text[self.pos : end]
+        if not name:
+            raise FormulaSyntaxError(f"empty {what} name", self.pos)
+        for i, c in enumerate(name):
+            if c in "\t\n":
+                raise FormulaSyntaxError(
+                    f"{what} name may not contain {c!r}", self.pos + i
+                )
+        return name
+
     def _diamond(self) -> int:
         start = self.pos
         self.pos += 1
         end = self.text.find(">", self.pos)
         if end < 0:
             raise FormulaSyntaxError("unterminated relation name", start)
-        relation = self.text[self.pos : end]
-        if not relation:
-            raise FormulaSyntaxError("empty relation name", self.pos)
+        relation = self._delimited_name(end, "relation")
         self.pos = end + 1
         if self.pos >= len(self.text) or self.text[self.pos] != "=":
             raise FormulaSyntaxError("expected '=' after relation", self.pos)
@@ -278,14 +287,6 @@ def constants_in(arena: FormulaArena, root: int) -> set[str]:
         arena.node(fid).name
         for fid in enumerate_subformulas(arena, root)
         if isinstance(arena.node(fid), Const)
-    }
-
-
-def predicates_in(arena: FormulaArena, root: int) -> set[str]:
-    return {
-        arena.node(fid).name
-        for fid in enumerate_subformulas(arena, root)
-        if isinstance(arena.node(fid), Pred)
     }
 
 

@@ -122,12 +122,6 @@ class TripleStore:
         self._check_relation(rid)
         return self._relation_names[rid]
 
-    def has_entity(self, name: str) -> bool:
-        return name in self._entity_ids
-
-    def has_relation(self, name: str) -> bool:
-        return name in self._relation_ids
-
     def _check_entity(self, eid: int) -> None:
         if not isinstance(eid, int) or not 0 <= eid < len(self._entity_names):
             raise EvaluationError(f"invalid entity id {eid!r}")
@@ -185,24 +179,7 @@ def load_store(triples_text: str, preds_text: Optional[str] = None) -> TripleSto
     `predicate<TAB>entity` and must reference entities present in the triples.
     """
     triples = _parse_tsv(triples_text, 3, "triples")
-    preds: list[tuple[str, str]] = []
-    if preds_text is not None:
-        known = {h for h, _, _ in triples} | {t for _, _, t in triples}
-        for lineno, line in enumerate(preds_text.split("\n"), start=1):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise TripleFileError(
-                    f"predicates line {lineno}: expected 2 tab-separated fields, "
-                    f"got {len(fields)}"
-                )
-            pred, entity = fields
-            if entity not in known:
-                raise TripleFileError(
-                    f"predicates line {lineno}: unknown entity {entity!r}"
-                )
-            preds.append((pred, entity))
+    preds = _parse_tsv(preds_text, 2, "predicates") if preds_text is not None else ()
     return TripleStore(triples, preds)
 
 

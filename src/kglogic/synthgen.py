@@ -25,9 +25,9 @@ from pathlib import Path
 from typing import Optional
 
 from .checker import model_check
-from .errors import EvaluationError, KGLogicError
+from .errors import EvaluationError, KGLogicError, TripleFileError
 from .formulas import FormulaArena, canonical_formula, parse
-from .store import TripleStore, load_store
+from .store import TripleStore, _parse_tsv, load_store
 
 SUPPORT_RELATIONS = {
     "C": ("R1", "R2", "R3"),
@@ -61,9 +61,10 @@ class SynthConfig:
             raise EvaluationError("n_instances must be >= 0")
         if self.noise_triples is not None and self.noise_triples < 0:
             raise EvaluationError("noise_triples must be >= 0")
-        if len(self.split) != 3 or any(f < 0 for f in self.split):
+        # written as negated comparisons so that NaN fails them too
+        if len(self.split) != 3 or any(not f >= 0 for f in self.split):
             raise EvaluationError("split must be three non-negative fractions")
-        if abs(sum(self.split) - 1.0) > 1e-9:
+        if not abs(sum(self.split) - 1.0) <= 1e-9:
             raise EvaluationError("split fractions must sum to 1")
         if self.decoys and self.relation_kind != "U":
             raise EvaluationError("decoys are only defined for relation U")
@@ -393,17 +394,14 @@ def load_dataset(datadir) -> SynthDataset:
     store = load_store((path / "triples.tsv").read_text())
     targets: list[tuple[str, str, str, str]] = []
     for split in ("train", "valid", "test"):
-        for line in (path / f"targets_{split}.tsv").read_text().split("\n"):
-            if not line:
-                continue
-            h, r, t = line.split("\t")
+        name = f"targets_{split}.tsv"
+        for h, r, t in _parse_tsv((path / name).read_text(), 3, name):
             targets.append((h, r, t, split))
-    ground: list[tuple[int, str, str]] = []
-    for line in (path / "ground.tsv").read_text().split("\n"):
-        if not line:
-            continue
-        idx, e, role = line.split("\t")
-        ground.append((int(idx), e, role))
+    ground_rows = _parse_tsv((path / "ground.tsv").read_text(), 3, "ground.tsv")
+    ground = [
+        (_int_field("ground.tsv", "instance index", idx), e, role)
+        for idx, e, role in ground_rows
+    ]
     config: dict = {}
     for line in (path / "config.txt").read_text().split("\n"):
         if not line:
@@ -413,5 +411,14 @@ def load_dataset(datadir) -> SynthDataset:
     for key in ("instances", "noise_triples", "seed", "decoys", "support_triples",
                 "entities"):
         if key in config:
-            config[key] = int(config[key])
+            config[key] = _int_field("config.txt", key, config[key])
     return SynthDataset(store, targets, ground, config)
+
+
+def _int_field(filename: str, what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise TripleFileError(
+            f"{filename}: {what} {text!r} is not an integer"
+        ) from None

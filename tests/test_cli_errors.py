@@ -1,0 +1,60 @@
+import pytest
+
+from kglogic.cli import main
+
+
+def _gen(tmp_path):
+    data = tmp_path / "udata"
+    assert main(
+        ["gen", "--relation", "U", "--instances", "10", "--noise", "20",
+         "--seed", "5", "--decoys", "--out", str(data)]
+    ) == 0
+    return data
+
+
+def _assert_one_line_error(capsys, code, allowed=(2,)):
+    err = capsys.readouterr().err
+    assert code in allowed
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("kglogic ")
+
+
+@pytest.mark.parametrize(
+    "filename, line",
+    [
+        ("ground.tsv", "0\tu0_h"),
+        ("ground.tsv", "first\tu0_h\thead"),
+        ("targets_test.tsv", "u0_h\tU"),
+    ],
+)
+def test_corrupt_dataset_file_is_data_error(tmp_path, capsys, filename, line):
+    data = _gen(tmp_path)
+    path = data / filename
+    path.write_text(path.read_text() + line + "\n")
+    capsys.readouterr()
+    code = main(["run", "--data", str(data), "--labeling", "query"])
+    _assert_one_line_error(capsys, code)
+
+
+def test_corrupt_config_integer_is_data_error(tmp_path, capsys):
+    data = _gen(tmp_path)
+    path = data / "config.txt"
+    path.write_text(path.read_text().replace("seed=5", "seed=five"))
+    capsys.readouterr()
+    code = main(["run", "--data", str(data), "--labeling", "query"])
+    _assert_one_line_error(capsys, code)
+
+
+def test_run_kg_without_formula(tmp_path, capsys):
+    kg = tmp_path / "k.tsv"
+    kg.write_text("a\tR1\tb\n")
+    code = main(["run", "--kg", str(kg), "--bind", "h=a"])
+    _assert_one_line_error(capsys, code, allowed=(1, 2))
+
+
+@pytest.mark.parametrize("split", ["a,b,c", "nan,0.5,0.5"])
+def test_gen_split_not_fractions(tmp_path, capsys, split):
+    code = main(
+        ["gen", "--relation", "C", "--split", split, "--out", str(tmp_path / "c")]
+    )
+    _assert_one_line_error(capsys, code, allowed=(1, 2))
