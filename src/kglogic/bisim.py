@@ -55,7 +55,7 @@ def _entity_props(
     consts_at: list[list[str]] = [[] for _ in range(store.n_entities)]
     for name in sorted(bindings):
         v = bindings[name]
-        store._check_entity(v)
+        store.check_entity(v)
         consts_at[v].append(name)
     return [
         (tuple(preds_at[v]), tuple(consts_at[v])) for v in range(store.n_entities)
@@ -120,7 +120,7 @@ def unravel(
     """
     if depth < 0:
         raise EvaluationError(f"depth must be >= 0, got {depth}")
-    store._check_entity(v)
+    store.check_entity(v)
     bindings = resolve_bindings(labeling)
     props = _entity_props(store, bindings)
     in_edges = _in_edges(store)

@@ -100,7 +100,7 @@ def model_check(
             if node.name not in bindings:
                 raise EvaluationError(f"unbound constant '@{node.name}'")
             v = bindings[node.name]
-            store._check_entity(v)
+            store.check_entity(v)
             row = {v}
             counter.ops += 1
         elif isinstance(node, Not):
@@ -164,8 +164,8 @@ def check_sentence_pair(
     if combinator not in _COMBINATORS:
         raise EvaluationError(f"unknown combinator {combinator!r}")
     check_constant_free(arena, g1, g2)
-    store._check_entity(h)
-    store._check_entity(t)
+    store.check_entity(h)
+    store.check_entity(t)
     b1 = model_check(store, arena, g1).bit(g1, h)
     b2 = model_check(store, arena, g2).bit(g2, t)
     if combinator == "and":

@@ -20,7 +20,9 @@ from .evalrank import run_dataset
 from .formulas import FormulaArena, parse
 from .labeling import Labeling, el_label, query_label
 from .store import TripleStore, load_store
-from .synthgen import SynthConfig, gen_dataset, load_dataset, write_dataset
+from .synthgen import (
+    SUPPORT_RELATIONS, SynthConfig, gen_dataset, load_dataset, write_dataset,
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -203,7 +205,7 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[], help="generate a synthetic dataset")
-    p.add_argument("--relation", required=True, choices=("C", "I", "U"))
+    p.add_argument("--relation", required=True, choices=tuple(SUPPORT_RELATIONS))
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--noise", type=int, default=None,
                    help="noise triple count (default: twice the support count)")

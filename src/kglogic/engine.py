@@ -88,7 +88,7 @@ def init_features(
             if name not in bindings:
                 raise EvaluationError(f"unbound constant '@{name}'")
             v = bindings[name]
-            store._check_entity(v)
+            store.check_entity(v)
             cols.append({v})
         else:
             raise EvaluationError(f"unknown atom kind {kind!r}")

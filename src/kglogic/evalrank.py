@@ -14,17 +14,10 @@ from .checker import check_constant_free, model_check
 from .compiler import compile_formula
 from .engine import forward, init_features, readout
 from .errors import EvaluationError
-from .formulas import (
-    FormulaArena,
-    canonical_formula,
-    constants_in,
-    diamond_depth,
-    format_formula,
-    parse,
-)
+from .formulas import FormulaArena, constants_in, diamond_depth, format_formula, parse
 from .labeling import QUERY_CONSTANT, el_label, ground_constants, query_label
 from .store import TripleStore
-from .synthgen import SUPPORT_RELATIONS, U_QUERY_ONLY_TEXT, SynthDataset, load_dataset
+from .synthgen import SUPPORT_RELATIONS, SynthDataset, load_dataset, rule_text
 
 LABELING_MODES = ("none", "query", "el")
 DEFAULT_ERA_PAIR = ("top", "top", "and")
@@ -54,12 +47,14 @@ def score_query(
     none:  combine constant-free head/tail formulas per the era pair.
     query: bind the query constant to h and read the compiled network out.
     el:    additionally bind out-degree-labeled constants; abstract constants
-           range over the labeled entities and the readouts are OR-ed.
+           range over the labeled entities within the formula's diamond depth
+           of forward hops from h, not over every labeled entity, and the
+           readouts are OR-ed.
     """
     if labeling_mode not in LABELING_MODES:
         raise EvaluationError(f"unknown labeling mode {labeling_mode!r}")
     h, _rel = query
-    store._check_entity(h)
+    store.check_entity(h)
 
     if labeling_mode == "none":
         if formula is not None and constants_in(arena, formula):
@@ -183,16 +178,6 @@ class RankReport:
 MODE_TO_LABELING = {"era": "none", "ql": "query", "el": "el"}
 
 
-def _formula_for(arena: FormulaArena, kind: str, mode: str) -> Optional[int]:
-    if mode == "era":
-        return None
-    if kind in ("C", "I"):
-        return canonical_formula(arena, kind)
-    if mode == "ql":
-        return parse(U_QUERY_ONLY_TEXT, arena)
-    return canonical_formula(arena, "Uprime")
-
-
 def evaluate_queries(
     store: TripleStore,
     arena: FormulaArena,
@@ -253,7 +238,7 @@ def run_dataset(
             f"{sorted(rels)}"
         )
     arena = FormulaArena()
-    formula = _formula_for(arena, kind, mode)
+    formula = None if mode == "era" else parse(rule_text(kind, mode), arena)
     era_pair = None
     if mode == "era":
         texts = era_pair_texts or DEFAULT_ERA_PAIR

@@ -11,6 +11,11 @@ Grammar:
              | "<" relation ">=" N formula   at least N incoming witnesses
 
 `!` and the diamond apply to the formula immediately following them.
+
+A formula nests at most MAX_NESTING operators on any root-to-leaf path: `!`,
+`&` and a diamond count one, `(f | g)` three, as it stands for `!(!f & !g)`.
+Deeper input raises FormulaSyntaxError, so what parses also compiles, formats
+and parses back.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ class Diamond:
 
 Node = Top | Pred | Const | Not | And | Diamond
 
+MAX_NESTING = 100
+_TOO_DEEP = f"formula nests deeper than {MAX_NESTING} operators"
+
 _NAME_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 )
@@ -82,12 +90,13 @@ class FormulaArena:
             self._ids[node] = fid
         return fid
 
-    def _check(self, fid: int) -> None:
-        if not isinstance(fid, int) or not 0 <= fid < len(self._nodes):
+    def check(self, fid: int) -> None:
+        # `type`, not isinstance: True is an int but no formula id
+        if type(fid) is not int or not 0 <= fid < len(self._nodes):
             raise EvaluationError(f"invalid formula id {fid!r}")
 
     def node(self, fid: int) -> Node:
-        self._check(fid)
+        self.check(fid)
         return self._nodes[fid]
 
     def top(self) -> int:
@@ -100,18 +109,18 @@ class FormulaArena:
         return self._intern(Const(name))
 
     def neg(self, sub: int) -> int:
-        self._check(sub)
+        self.check(sub)
         return self._intern(Not(sub))
 
     def conj(self, left: int, right: int) -> int:
-        self._check(left)
-        self._check(right)
+        self.check(left)
+        self.check(right)
         return self._intern(And(left, right))
 
     def diamond(self, count: int, relation: str, sub: int) -> int:
         if count < 1:
             raise EvaluationError(f"diamond count must be at least 1, got {count}")
-        self._check(sub)
+        self.check(sub)
         return self._intern(Diamond(count, relation, sub))
 
 
@@ -120,12 +129,25 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.arena = arena
+        self.depth = 0
 
     def parse(self) -> int:
         fid = self._formula()
         self._ws()
         if self.pos != len(self.text):
             raise FormulaSyntaxError("unexpected trailing input", self.pos)
+        # operators on the longest path: `|` is three, but one _nested level
+        if _longest_path(self.arena, fid, _children) > MAX_NESTING:
+            raise FormulaSyntaxError(_TOO_DEEP, 0)
+        return fid
+
+    def _nested(self) -> int:
+        # every operand is parsed here, so this bounds the recursion
+        if self.depth == MAX_NESTING:
+            raise FormulaSyntaxError(_TOO_DEEP, self.pos)
+        self.depth += 1
+        fid = self._formula()
+        self.depth -= 1
         return fid
 
     def _ws(self) -> None:
@@ -140,7 +162,7 @@ class _Parser:
         c = text[pos]
         if c == "!":
             self.pos += 1
-            return self.arena.neg(self._formula())
+            return self.arena.neg(self._nested())
         if c == "@":
             self.pos += 1
             return self.arena.const(self._name("constant"))
@@ -203,17 +225,17 @@ class _Parser:
         count = int(self.text[numstart : self.pos])
         if count < 1:
             raise FormulaSyntaxError("count must be at least 1", numstart)
-        return self.arena.diamond(count, relation, self._formula())
+        return self.arena.diamond(count, relation, self._nested())
 
     def _group(self) -> int:
         self.pos += 1
-        left = self._formula()
+        left = self._nested()
         self._ws()
         if self.pos >= len(self.text) or self.text[self.pos] not in "&|":
             raise FormulaSyntaxError("expected '&' or '|'", self.pos)
         op = self.text[self.pos]
         self.pos += 1
-        right = self._formula()
+        right = self._nested()
         self._ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ")":
             raise FormulaSyntaxError("expected ')'", self.pos)
@@ -259,7 +281,7 @@ def _children(node: Node) -> tuple[int, ...]:
 
 def enumerate_subformulas(arena: FormulaArena, root: int) -> list[int]:
     """Distinct subformula ids in topological order, children first, root last."""
-    arena._check(root)
+    arena.check(root)
     seen: set[int] = set()
     stack = [root]
     while stack:
@@ -271,15 +293,19 @@ def enumerate_subformulas(arena: FormulaArena, root: int) -> list[int]:
     return sorted(seen)
 
 
-def diamond_depth(arena: FormulaArena, root: int) -> int:
-    """Maximum nesting depth of diamonds in the formula."""
+def _longest_path(arena: FormulaArena, root: int, counted) -> int:
+    # the most nodes satisfying `counted` on one root-to-leaf path
     depth: dict[int, int] = {}
     for fid in enumerate_subformulas(arena, root):
         node = arena.node(fid)
-        kids = _children(node)
-        inner = max((depth[k] for k in kids), default=0)
-        depth[fid] = inner + 1 if isinstance(node, Diamond) else inner
+        inner = max((depth[k] for k in _children(node)), default=0)
+        depth[fid] = inner + 1 if counted(node) else inner
     return depth[root]
+
+
+def diamond_depth(arena: FormulaArena, root: int) -> int:
+    """Maximum nesting depth of diamonds in the formula."""
+    return _longest_path(arena, root, lambda node: isinstance(node, Diamond))
 
 
 def constants_in(arena: FormulaArena, root: int) -> set[str]:

@@ -43,7 +43,7 @@ def el_label(store: TripleStore, d: int, h: int) -> Labeling:
     """
     if d < 0:
         raise EvaluationError(f"degree threshold must be >= 0, got {d}")
-    store._check_entity(h)
+    store.check_entity(h)
     lab = query_label(h)
     for v in range(store.n_entities):
         if store.out_degree.get(v, 0) > d:

@@ -109,7 +109,7 @@ class TripleStore:
         return eid
 
     def entity_name(self, eid: int) -> str:
-        self._check_entity(eid)
+        self.check_entity(eid)
         return self._entity_names[eid]
 
     def relation_id(self, name: str) -> int:
@@ -119,21 +119,22 @@ class TripleStore:
         return rid
 
     def relation_name(self, rid: int) -> str:
-        self._check_relation(rid)
+        self.check_relation(rid)
         return self._relation_names[rid]
 
-    def _check_entity(self, eid: int) -> None:
-        if not isinstance(eid, int) or not 0 <= eid < len(self._entity_names):
+    # `type`, not isinstance, in both checks: True is an int but no id
+    def check_entity(self, eid: int) -> None:
+        if type(eid) is not int or not 0 <= eid < len(self._entity_names):
             raise EvaluationError(f"invalid entity id {eid!r}")
 
-    def _check_relation(self, rid: int) -> None:
-        if not isinstance(rid, int) or not 0 <= rid < len(self._relation_names):
+    def check_relation(self, rid: int) -> None:
+        if type(rid) is not int or not 0 <= rid < len(self._relation_names):
             raise EvaluationError(f"invalid relation id {rid!r}")
 
     def neighbors(self, v: int, rel: int) -> set[int]:
         """Heads u with (u, rel, v) in the store (incoming direction)."""
-        self._check_entity(v)
-        self._check_relation(rel)
+        self.check_entity(v)
+        self.check_relation(rel)
         return set(self.in_index.get((rel, v), ()))
 
     def successors(self, rel: int, v: int) -> list[int]:
@@ -157,7 +158,8 @@ class TripleStore:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_tsv(text: str, n_fields: int, what: str) -> list[tuple[str, ...]]:
+def parse_tsv(text: str, n_fields: int, what: str) -> list[tuple[str, ...]]:
+    """Rows of exactly `n_fields` tab-separated fields; `what` names the input."""
     rows = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
@@ -178,8 +180,8 @@ def load_store(triples_text: str, preds_text: Optional[str] = None) -> TripleSto
     Duplicate triple lines collapse to one triple.  Predicate lines are
     `predicate<TAB>entity` and must reference entities present in the triples.
     """
-    triples = _parse_tsv(triples_text, 3, "triples")
-    preds = _parse_tsv(preds_text, 2, "predicates") if preds_text is not None else ()
+    triples = parse_tsv(triples_text, 3, "triples")
+    preds = parse_tsv(preds_text, 2, "predicates") if preds_text is not None else ()
     return TripleStore(triples, preds)
 
 

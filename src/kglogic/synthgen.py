@@ -1,6 +1,6 @@
 """Synthetic benchmark generation: rule structures, adversarial noise, splits.
 
-Each instance is a fresh vertex-disjoint copy of one rule structure:
+Each instance is a fresh vertex-disjoint copy of one structure in `_RULES`:
 
     C:  h -R1-> z1 -R2-> z2 -R3-> t                       target C(h, t)
     I:  the C chain plus w1 -R4-> z2 and w2 -R4-> z2      target I(h, t)
@@ -22,24 +22,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .checker import model_check
 from .errors import EvaluationError, KGLogicError, TripleFileError
-from .formulas import FormulaArena, canonical_formula, parse
-from .store import TripleStore, _parse_tsv, load_store
-
-SUPPORT_RELATIONS = {
-    "C": ("R1", "R2", "R3"),
-    "I": ("R1", "R2", "R3", "R4"),
-    "U": ("R1", "R2", "R3", "R4", "R5"),
-}
+from .formulas import (
+    CHAIN_TEXT, I_TEXT, UPRIME_TEXT, FormulaArena, diamond_depth, parse,
+)
+from .store import TripleStore, load_store, parse_tsv
 
 # Query-constant-only approximant of the U rule: both branch chains, fork
 # unpinned.  Satisfied at the decoy tail too, by design.
 U_QUERY_ONLY_TEXT = "(<R4>=1 <R2>=1 <R1>=1 @h & <R5>=1 <R3>=1 <R1>=1 @h)"
 
-_STRUCTURE_DEPTH = 3  # every structure entity sits within 3 forward hops of h
 _MAX_ATTEMPTS_PER_NOISE = 200
 
 
@@ -53,9 +48,10 @@ class SynthConfig:
     decoys: bool = False
 
     def validate(self) -> None:
-        if self.relation_kind not in SUPPORT_RELATIONS:
+        if self.relation_kind not in _RULES:
             raise EvaluationError(
-                f"relation kind must be one of C, I, U, got {self.relation_kind!r}"
+                f"relation kind must be one of {', '.join(_RULES)}, "
+                f"got {self.relation_kind!r}"
             )
         if self.n_instances < 0:
             raise EvaluationError("n_instances must be >= 0")
@@ -66,18 +62,16 @@ class SynthConfig:
             raise EvaluationError("split must be three non-negative fractions")
         if not abs(sum(self.split) - 1.0) <= 1e-9:
             raise EvaluationError("split fractions must sum to 1")
-        if self.decoys and self.relation_kind != "U":
-            raise EvaluationError("decoys are only defined for relation U")
+        if self.decoys and not _RULES[self.relation_kind].decoy[0]:
+            raise EvaluationError(f"relation {self.relation_kind} has no decoys")
 
 
 @dataclass
 class _Instance:
     index: int
-    head: str
-    tail: str
-    roles: list[tuple[str, str]]  # (entity, role)
+    roles: dict[str, str]  # role -> entity, in template (noise pool) order
     support: list[tuple[str, str, str]]
-    decoy_tail: Optional[str] = None
+    expected: tuple[set[str], ...]  # per check: the only tails it may hold at
 
 
 @dataclass
@@ -89,64 +83,6 @@ class SynthDataset:
 
     def targets_for(self, split: str) -> list[tuple[str, str, str]]:
         return [(h, r, t) for h, r, t, s in self.targets if s == split]
-
-
-def _build_instance(kind: str, index: int, decoys: bool) -> _Instance:
-    p = f"{kind.lower()}{index}"
-    if kind == "C":
-        h, z1, z2, t = (f"{p}_h", f"{p}_z1", f"{p}_z2", f"{p}_t")
-        support = [(h, "R1", z1), (z1, "R2", z2), (z2, "R3", t)]
-        roles = [(h, "head"), (z1, "z1"), (z2, "z2"), (t, "tail")]
-        return _Instance(index, h, t, roles, support)
-    if kind == "I":
-        h, z1, z2, t = (f"{p}_h", f"{p}_z1", f"{p}_z2", f"{p}_t")
-        w1, w2 = f"{p}_w1", f"{p}_w2"
-        support = [
-            (h, "R1", z1),
-            (z1, "R2", z2),
-            (z2, "R3", t),
-            (w1, "R4", z2),
-            (w2, "R4", z2),
-        ]
-        roles = [
-            (h, "head"),
-            (z1, "z1"),
-            (z2, "z2"),
-            (t, "tail"),
-            (w1, "w1"),
-            (w2, "w2"),
-        ]
-        return _Instance(index, h, t, roles, support)
-    h, c, z2, z3, t = (f"{p}_h", f"{p}_c", f"{p}_z2", f"{p}_z3", f"{p}_t")
-    support = [
-        (h, "R1", c),
-        (c, "R2", z2),
-        (z2, "R4", t),
-        (c, "R3", z3),
-        (z3, "R5", t),
-    ]
-    roles = [(h, "head"), (c, "fork"), (z2, "z2"), (z3, "z3"), (t, "tail")]
-    inst = _Instance(index, h, t, roles, support)
-    if decoys:
-        c1, dz2, dt = f"{p}_dc1", f"{p}_dz2", f"{p}_dt"
-        c2, dz3 = f"{p}_dc2", f"{p}_dz3"
-        inst.support += [
-            (h, "R1", c1),
-            (c1, "R2", dz2),
-            (dz2, "R4", dt),
-            (h, "R1", c2),
-            (c2, "R3", dz3),
-            (dz3, "R5", dt),
-        ]
-        inst.roles += [
-            (c1, "decoy_fork_r2"),
-            (dz2, "decoy_z2"),
-            (dt, "decoy_tail"),
-            (c2, "decoy_fork_r3"),
-            (dz3, "decoy_z3"),
-        ]
-        inst.decoy_tail = dt
-    return inst
 
 
 class _Adjacency:
@@ -183,6 +119,15 @@ class _Adjacency:
         return result
 
 
+# Fast tail evaluators: the tails a check's formula holds at from head h,
+# united over all values of its other constants.  They code the rules a third
+# time because noise rejection runs them per affected head, 80,669 times for
+# gen U 500 --decoys seed 1: model_check takes 89-109 us a head there (Uprime
+# over 3.36 mean R1-successors, plus the query-only rule), these 17-22 us, so
+# it would add 6-7 s to a 2 s run (best of 5; Python 3.11, 2-vCPU Xeon).
+# A property test checks each one against the model checker.
+
+
 def _chain_tails(adj: _Adjacency, h: str) -> set[str]:
     return adj.outs("R3", adj.outs("R2", adj.out("R1", h)))
 
@@ -210,35 +155,89 @@ def _u_query_only_tails(adj: _Adjacency, h: str) -> set[str]:
     return left & right
 
 
-def _expected_tails(kind: str, inst: _Instance) -> dict[str, set[str]]:
-    if kind == "C" or kind == "I":
-        return {"rule": {inst.tail}}
-    expected = {"rule": {inst.tail}, "query_only": {inst.tail}}
-    if inst.decoy_tail is not None:
-        expected["query_only"] = {inst.tail, inst.decoy_tail}
-    return expected
+class _Check(NamedTuple):
+    text: str
+    binding: tuple[tuple[str, str], ...]  # (constant, role) in ground truth
+    tails: Callable[[_Adjacency, str], set[str]]  # fast evaluator
+    expected: tuple[str, ...]  # tail roles; those an instance lacks are skipped
 
 
-def _instance_ok(kind: str, adj: _Adjacency, inst: _Instance) -> bool:
-    expected = _expected_tails(kind, inst)
-    if kind == "C":
-        return _chain_tails(adj, inst.head) == expected["rule"]
-    if kind == "I":
-        return _i_tails(adj, inst.head) == expected["rule"]
-    return (
-        _u_fork_tails(adj, inst.head) == expected["rule"]
-        and _u_query_only_tails(adj, inst.head) == expected["query_only"]
+class _Rule(NamedTuple):
+    roles: tuple[tuple[str, str], ...]  # (entity suffix, role), head first
+    edges: tuple[tuple[str, str, str], ...]  # support edges over the suffixes
+    el: _Check  # the rule entity labeling ranks with
+    ql: _Check  # the rule query labeling ranks with
+    decoy: tuple[tuple, tuple] = ((), ())  # (roles, edges) added with decoys
+
+
+# The rule catalogue: every per-kind decision derives from it.  Role order is
+# the noise pool order, which drives every rng draw.
+_HEAD = (("h", "head"),)
+_CHAIN = _Check(CHAIN_TEXT, _HEAD, _chain_tails, ("tail",))
+_HUB = _Check(I_TEXT, _HEAD, _i_tails, ("tail",))
+_RULES = {
+    "C": _Rule(
+        (("h", "head"), ("z1", "z1"), ("z2", "z2"), ("t", "tail")),
+        (("h", "R1", "z1"), ("z1", "R2", "z2"), ("z2", "R3", "t")),
+        el=_CHAIN, ql=_CHAIN,
+    ),
+    "I": _Rule(
+        (("h", "head"), ("z1", "z1"), ("z2", "z2"), ("t", "tail"), ("w1", "w1"),
+         ("w2", "w2")),
+        (("h", "R1", "z1"), ("z1", "R2", "z2"), ("z2", "R3", "t"),
+         ("w1", "R4", "z2"), ("w2", "R4", "z2")),
+        el=_HUB, ql=_HUB,
+    ),
+    "U": _Rule(
+        (("h", "head"), ("c", "fork"), ("z2", "z2"), ("z3", "z3"), ("t", "tail")),
+        (("h", "R1", "c"), ("c", "R2", "z2"), ("z2", "R4", "t"),
+         ("c", "R3", "z3"), ("z3", "R5", "t")),
+        el=_Check(UPRIME_TEXT, _HEAD + (("c", "fork"),), _u_fork_tails, ("tail",)),
+        ql=_Check(
+            U_QUERY_ONLY_TEXT, _HEAD, _u_query_only_tails, ("tail", "decoy_tail")
+        ),
+        decoy=(
+            (("dc1", "decoy_fork_r2"), ("dz2", "decoy_z2"), ("dt", "decoy_tail"),
+             ("dc2", "decoy_fork_r3"), ("dz3", "decoy_z3")),
+            (("h", "R1", "dc1"), ("dc1", "R2", "dz2"), ("dz2", "R4", "dt"),
+             ("h", "R1", "dc2"), ("dc2", "R3", "dz3"), ("dz3", "R5", "dt")),
+        ),
+    ),
+}
+
+SUPPORT_RELATIONS = {
+    kind: tuple(sorted({r for _, r, _ in rule.edges + rule.decoy[1]}))
+    for kind, rule in _RULES.items()
+}
+
+
+def rule_text(kind: str, mode: str) -> str:
+    """The formula ranking mode `mode` ("ql" or "el") scores relation `kind` with."""
+    rule = _RULES[kind]
+    return (rule.ql if mode == "ql" else rule.el).text
+
+
+def _build_instance(kind: str, index: int, decoys: bool, checks) -> _Instance:
+    rule = _RULES[kind]
+    roles, edges = rule.roles, rule.edges
+    if decoys:
+        roles, edges = roles + rule.decoy[0], edges + rule.decoy[1]
+    p = f"{kind.lower()}{index}_"
+    by_role = {role: p + suffix for suffix, role in roles}
+    expected = tuple(
+        {by_role[r] for r in check.expected if r in by_role} for check in checks
     )
+    return _Instance(index, by_role, [(p + u, r, p + w) for u, r, w in edges], expected)
 
 
 def _affected_heads(
-    adj: _Adjacency, endpoints: tuple[str, str], heads: dict[str, _Instance]
+    adj: _Adjacency, endpoints: tuple[str, str], heads: dict[str, _Instance], depth: int
 ) -> list[_Instance]:
     # A new satisfying tail for head h needs h to reach the new edge within the
     # structure depth, so walk backwards from both endpoints and collect heads.
     reached = set(endpoints)
     frontier = set(endpoints)
-    for _ in range(_STRUCTURE_DEPTH):
+    for _ in range(depth):
         nxt: set[str] = set()
         for v in frontier:
             for u in adj.predecessors(v):
@@ -248,9 +247,7 @@ def _affected_heads(
         if not nxt:
             break
         frontier = nxt
-    hit = [heads[v] for v in reached if v in heads]
-    hit.sort(key=lambda inst: inst.index)
-    return hit
+    return sorted((heads[v] for v in reached if v in heads), key=lambda i: i.index)
 
 
 def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
@@ -258,19 +255,24 @@ def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
     cfg.validate()
     kind = cfg.relation_kind
     rng = random.Random(cfg.seed)
+    arena = FormulaArena()
+    rule = _RULES[kind]
+    checks = tuple(dict.fromkeys((rule.el, rule.ql)))  # el once when ql is el
+    formulas = [parse(check.text, arena) for check in checks]
+    depth = max(diamond_depth(arena, fid) for fid in formulas)
 
     instances = [
-        _build_instance(kind, i, cfg.decoys) for i in range(cfg.n_instances)
+        _build_instance(kind, i, cfg.decoys, checks) for i in range(cfg.n_instances)
     ]
     support: list[tuple[str, str, str]] = []
     ground: list[tuple[int, str, str]] = []
     adj = _Adjacency()
-    heads = {inst.head: inst for inst in instances}
+    heads = {inst.roles["head"]: inst for inst in instances}
     pool: list[str] = []
     for inst in instances:
         support.extend(inst.support)
-        ground.extend((inst.index, e, role) for e, role in inst.roles)
-        pool.extend(e for e, _ in inst.roles)
+        ground.extend((inst.index, e, role) for role, e in inst.roles.items())
+        pool.extend(inst.roles.values())
         for h, r, t in inst.support:
             adj.add(h, r, t)
 
@@ -283,7 +285,6 @@ def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
     if noise_budget > 0 and not pool:
         raise KGLogicError("cannot generate noise for an empty dataset")
     for _ in range(noise_budget):
-        placed = False
         for _attempt in range(_MAX_ATTEMPTS_PER_NOISE):
             u = pool[rng.randrange(len(pool))]
             rel = relations[rng.randrange(len(relations))]
@@ -293,17 +294,17 @@ def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
                 continue
             adj.add(u, rel, w)
             bad = any(
-                not _instance_ok(kind, adj, inst)
-                for inst in _affected_heads(adj, (u, w), heads)
+                check.tails(adj, inst.roles["head"]) != want
+                for inst in _affected_heads(adj, (u, w), heads, depth)
+                for check, want in zip(checks, inst.expected)
             )
             if bad:
                 adj.remove(u, rel, w)
                 continue
             existing.add(triple)
             noise.append(triple)
-            placed = True
             break
-        if not placed:
+        else:
             raise KGLogicError(
                 "noise rejection budget exhausted; use fewer noise triples"
             )
@@ -320,7 +321,7 @@ def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
             "valid" if pos < n_train + n_valid else "test"
         )
         inst = instances[idx]
-        targets.append((inst.head, kind, inst.tail, split))
+        targets.append((inst.roles["head"], kind, inst.roles["tail"], split))
 
     config = {
         "relation": kind,
@@ -334,39 +335,21 @@ def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
     }
     dataset = SynthDataset(store, targets, ground, config)
     if verify:
-        _verify_dataset(dataset, instances)
+        _verify_dataset(store, instances, arena, checks, formulas)
     return dataset
 
 
-def _verify_dataset(dataset: SynthDataset, instances: list[_Instance]) -> None:
+def _verify_dataset(store, instances, arena, checks, formulas) -> None:
     """Cross-check the generator's incremental bookkeeping with the model checker."""
-    kind = dataset.config["relation"]
-    store = dataset.store
-    arena = FormulaArena()
-    rule = canonical_formula(arena, "Uprime" if kind == "U" else kind)
-    query_only = parse(U_QUERY_ONLY_TEXT, arena) if kind == "U" else None
     for inst in instances:
-        binding = {"h": store.entity_id(inst.head)}
-        if kind == "U":
-            fork = next(e for e, role in inst.roles if role == "fork")
-            binding["c"] = store.entity_id(fork)
-        table = model_check(store, arena, rule, binding)
-        got = {store.entity_name(v) for v in table.row_set(rule)}
-        if got != {inst.tail}:
-            raise KGLogicError(
-                f"instance {inst.index}: rule satisfied at {sorted(got)}, "
-                f"expected only {inst.tail!r}"
-            )
-        if query_only is not None:
-            table = model_check(store, arena, query_only, {"h": binding["h"]})
-            got = {store.entity_name(v) for v in table.row_set(query_only)}
-            expected = {inst.tail}
-            if inst.decoy_tail is not None:
-                expected.add(inst.decoy_tail)
-            if got != expected:
+        for check, fid, want in zip(checks, formulas, inst.expected):
+            binding = {c: store.entity_id(inst.roles[r]) for c, r in check.binding}
+            table = model_check(store, arena, fid, binding)
+            got = {store.entity_name(v) for v in table.row_set(fid)}
+            if got != want:
                 raise KGLogicError(
-                    f"instance {inst.index}: query-only rule satisfied at "
-                    f"{sorted(got)}, expected {sorted(expected)}"
+                    f"instance {inst.index}: {check.text} holds at {sorted(got)}, "
+                    f"expected {sorted(want)}"
                 )
 
 
@@ -395,9 +378,9 @@ def load_dataset(datadir) -> SynthDataset:
     targets: list[tuple[str, str, str, str]] = []
     for split in ("train", "valid", "test"):
         name = f"targets_{split}.tsv"
-        for h, r, t in _parse_tsv((path / name).read_text(), 3, name):
+        for h, r, t in parse_tsv((path / name).read_text(), 3, name):
             targets.append((h, r, t, split))
-    ground_rows = _parse_tsv((path / "ground.tsv").read_text(), 3, "ground.tsv")
+    ground_rows = parse_tsv((path / "ground.tsv").read_text(), 3, "ground.tsv")
     ground = [
         (_int_field("ground.tsv", "instance index", idx), e, role)
         for idx, e, role in ground_rows

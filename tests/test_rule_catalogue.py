@@ -1,0 +1,69 @@
+"""The generator's rule catalogue and the fast evaluators it names."""
+
+import random
+from itertools import product
+
+import pytest
+
+from kglogic import (
+    SUPPORT_RELATIONS,
+    U_QUERY_ONLY_TEXT,
+    FormulaArena,
+    TripleStore,
+    diamond_depth,
+    model_check,
+    parse,
+)
+from kglogic.synthgen import _RULES, _Adjacency
+
+RELATIONS = ("R1", "R2", "R3", "R4", "R5")
+
+
+def test_public_values_derived_from_catalogue():
+    assert SUPPORT_RELATIONS == {
+        "C": ("R1", "R2", "R3"),
+        "I": ("R1", "R2", "R3", "R4"),
+        "U": ("R1", "R2", "R3", "R4", "R5"),
+    }
+    assert U_QUERY_ONLY_TEXT == "(<R4>=1 <R2>=1 <R1>=1 @h & <R5>=1 <R3>=1 <R1>=1 @h)"
+    arena = FormulaArena()
+    for rule in _RULES.values():
+        for check in (rule.el, rule.ql):
+            # noise rejection walks back this many hops from a new edge
+            assert diamond_depth(arena, parse(check.text, arena)) == 3
+
+
+CHECKS = list(dict.fromkeys(c for rule in _RULES.values() for c in (rule.el, rule.ql)))
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.tails.__name__)
+def test_fast_evaluator_equals_model_checker(check):
+    """Evaluator tails from h == model_check's root set united over the other
+    constants' bindings, on random stores over R1..R5, every entity as h."""
+    arena = FormulaArena()
+    fid = parse(check.text, arena)
+    head = next(c for c, role in check.binding if role == "head")
+    others = [c for c, role in check.binding if role != "head"]
+    rng = random.Random(5)
+    cases = nonempty = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        names = [f"e{i}" for i in range(n)]
+        triples = sorted({
+            (rng.choice(names), rng.choice(RELATIONS), rng.choice(names))
+            for _ in range(rng.randint(n, 8 * n))
+        })
+        store = TripleStore(triples, entity_order=names, relation_order=RELATIONS)
+        adj = _Adjacency()
+        for triple in triples:
+            adj.add(*triple)
+        for h in range(n):
+            want: set[int] = set()
+            for values in product(range(n), repeat=len(others)):
+                binding = {head: h, **dict(zip(others, values))}
+                want |= model_check(store, arena, fid, binding).row_set(fid)
+            got = {store.entity_id(e) for e in check.tails(adj, names[h])}
+            assert got == want, (check.text, triples, names[h])
+            cases += 1
+            nonempty += bool(want)
+    assert cases > 1000 and nonempty > 50
