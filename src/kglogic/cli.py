@@ -268,7 +268,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (KGLogicError, OSError) as exc:
+    except (KGLogicError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"kglogic {args.command}: error: {exc}\n")
         return 2
 

@@ -23,8 +23,7 @@ from .formulas import (
     Not,
     Pred,
     Top,
-    enumerate_subformulas,
-    format_formula,
+    format_subformulas,
 )
 
 # One input of a column: (relation, row, weight).  relation None is a
@@ -76,7 +75,8 @@ class CompiledNet:
 
 def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
     """Build the network for `root`; a pure function of the hash-consed arena."""
-    order = enumerate_subformulas(arena, root)
+    text = format_subformulas(arena, root)
+    order = list(text)
     dim = len(order)
     col_of = {fid: i for i, fid in enumerate(order)}
     inputs: list[list[Wire]] = []
@@ -120,7 +120,7 @@ def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
         out_index=dim - 1,
         atoms=atoms,
         layers=dim,
-        column_formulas=[format_formula(arena, fid) for fid in order],
+        column_formulas=list(text.values()),
         column_cases=column_cases,
     )
 

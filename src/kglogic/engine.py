@@ -39,10 +39,6 @@ class FeatureMatrix:
     def bit(self, v: int, col: int) -> int:
         return 1 if v in self.cols[col] else 0
 
-    def column_bits(self, col: int) -> list[int]:
-        members = self.cols[col]
-        return [1 if v in members else 0 for v in range(self.n_entities)]
-
     def rows(self) -> list[list[int]]:
         out = [[0] * self.n_cols for _ in range(self.n_entities)]
         for col, members in enumerate(self.cols):
@@ -186,4 +182,5 @@ def readout(x: FeatureMatrix, net: CompiledNet) -> list[int]:
     """Extract the root subformula's column as a per-entity bit vector."""
     if not 0 <= net.out_index < x.n_cols:
         raise EvaluationError(f"out_index {net.out_index} out of range")
-    return x.column_bits(net.out_index)
+    members = x.cols[net.out_index]
+    return [1 if v in members else 0 for v in range(x.n_entities)]

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .checker import check_constant_free, model_check
 from .compiler import compile_formula
-from .engine import forward, init_features, readout
+from .engine import forward, init_features
 from .errors import EvaluationError
 from .formulas import FormulaArena, constants_in, diamond_depth, format_formula, parse
 from .labeling import QUERY_CONSTANT, el_label, ground_constants, query_label
@@ -44,12 +44,12 @@ def score_query(
 ) -> list[int]:
     """Score every entity as a candidate tail for the query (h, relation).
 
-    none:  combine constant-free head/tail formulas per the era pair.
-    query: bind the query constant to h and read the compiled network out.
-    el:    additionally bind out-degree-labeled constants; abstract constants
-           range over the labeled entities within the formula's diamond depth
-           of forward hops from h, not over every labeled entity, and the
-           readouts are OR-ed.
+    none:  combine constant-free head/tail formulas per the required era pair.
+    query: one grounding, binding the query constant to h.
+    el:    also bind out-degree-labeled constants; abstract constants range
+           over the labeled entities within the formula's diamond depth of
+           forward hops from h.  Both labeled modes run the network once per
+           grounding and score 1 on the union of the root column's entities.
     """
     if labeling_mode not in LABELING_MODES:
         raise EvaluationError(f"unknown labeling mode {labeling_mode!r}")
@@ -62,11 +62,8 @@ def score_query(
                 "constant-bearing formula requires query or el labeling"
             )
         if era_pair is None:
-            g1 = parse(DEFAULT_ERA_PAIR[0], arena)
-            g2 = parse(DEFAULT_ERA_PAIR[1], arena)
-            combinator = DEFAULT_ERA_PAIR[2]
-        else:
-            g1, g2, combinator = era_pair
+            raise EvaluationError("labeling mode 'none' needs an era pair")
+        g1, g2, combinator = era_pair
         check_constant_free(arena, g1, g2)
         b1 = model_check(store, arena, g1).bit(g1, h)
         g2_row = model_check(store, arena, g2).row_set(g2)
@@ -80,23 +77,20 @@ def score_query(
     consts = constants_in(arena, formula)
     net = compile_formula(arena, formula)
 
-    if labeling_mode == "query":
-        if consts - {QUERY_CONSTANT}:
-            extra = sorted(consts - {QUERY_CONSTANT})[0]
-            raise EvaluationError(
-                f"formula uses @{extra}; query labeling only binds @{QUERY_CONSTANT}"
-            )
-        lab = query_label(h)
-        return readout(forward(store, net, init_features(store, net, lab)), net)
-
-    lab = el_label(store, d, h)
+    if labeling_mode == "query" and consts - {QUERY_CONSTANT}:
+        extra = sorted(consts - {QUERY_CONSTANT})[0]
+        raise EvaluationError(
+            f"formula uses @{extra}; query labeling only binds @{QUERY_CONSTANT}"
+        )
+    # query labeling is entity labeling that labels nothing beyond h
+    lab = query_label(h) if labeling_mode == "query" else el_label(store, d, h)
     depth = diamond_depth(arena, formula)
     groundings = ground_constants(consts, lab, store, within_depth_of=(h, depth))
-    scores = [0] * store.n_entities
+    positives: set[int] = set()
     for binding in groundings:
-        bits = readout(forward(store, net, init_features(store, net, binding)), net)
-        scores = [a | b for a, b in zip(scores, bits)]
-    return scores
+        final = forward(store, net, init_features(store, net, binding))
+        positives |= final.cols[net.out_index]
+    return [1 if v in positives else 0 for v in range(store.n_entities)]
 
 
 def rank_metrics(
@@ -240,8 +234,8 @@ def run_dataset(
     arena = FormulaArena()
     formula = None if mode == "era" else parse(rule_text(kind, mode), arena)
     era_pair = None
+    texts = era_pair_texts or DEFAULT_ERA_PAIR
     if mode == "era":
-        texts = era_pair_texts or DEFAULT_ERA_PAIR
         era_pair = (parse(texts[0], arena), parse(texts[1], arena), texts[2])
     all_targets = [(h, r, t) for h, r, t, _ in dataset.targets]
     report = evaluate_queries(
@@ -258,6 +252,5 @@ def run_dataset(
     for key in sorted(dataset.config):
         report.metadata[f"config.{key}"] = dataset.config[key]
     if mode == "era":
-        texts = era_pair_texts or DEFAULT_ERA_PAIR
         report.metadata["era_pair"] = f"{texts[0]} | {texts[1]} | {texts[2]}"
     return report

@@ -253,20 +253,27 @@ def parse(text: str, arena: FormulaArena) -> int:
 
 def format_formula(arena: FormulaArena, fid: int) -> str:
     """Deterministic printer; `parse(format_formula(a, f), a) == f`."""
-    node = arena.node(fid)
-    if isinstance(node, Top):
-        return "top"
-    if isinstance(node, Pred):
-        return f"P({node.name})"
-    if isinstance(node, Const):
-        return f"@{node.name}"
-    if isinstance(node, Not):
-        return "!" + format_formula(arena, node.sub)
-    if isinstance(node, And):
-        left = format_formula(arena, node.left)
-        right = format_formula(arena, node.right)
-        return f"({left} & {right})"
-    return f"<{node.relation}>={node.count} " + format_formula(arena, node.sub)
+    return format_subformulas(arena, fid)[fid]
+
+
+def format_subformulas(arena: FormulaArena, root: int) -> dict[int, str]:
+    """Text of every subformula of `root`, keyed by id in topological order."""
+    text: dict[int, str] = {}
+    for fid in enumerate_subformulas(arena, root):
+        node = arena.node(fid)
+        if isinstance(node, Top):
+            text[fid] = "top"
+        elif isinstance(node, Pred):
+            text[fid] = f"P({node.name})"
+        elif isinstance(node, Const):
+            text[fid] = f"@{node.name}"
+        elif isinstance(node, Not):
+            text[fid] = "!" + text[node.sub]
+        elif isinstance(node, And):
+            text[fid] = f"({text[node.left]} & {text[node.right]})"
+        else:
+            text[fid] = f"<{node.relation}>={node.count} " + text[node.sub]
+    return text
 
 
 def _children(node: Node) -> tuple[int, ...]:

@@ -233,11 +233,14 @@ def _build_instance(kind: str, index: int, decoys: bool, checks) -> _Instance:
 def _affected_heads(
     adj: _Adjacency, endpoints: tuple[str, str], heads: dict[str, _Instance], depth: int
 ) -> list[_Instance]:
-    # A new satisfying tail for head h needs h to reach the new edge within the
-    # structure depth, so walk backwards from both endpoints and collect heads.
+    # Checks are anchored at @h: a new edge changes h's tails only on a rule
+    # path from h (its source at most depth - 1 hops out) or by feeding a count
+    # taken at most depth - 1 hops out (its target there, as for I's <R4>=2 top).
+    # Unsound for a count over an unanchored subformula at the tail, as in
+    # (<R4>=2 top & chain), which is depth hops out.
     reached = set(endpoints)
     frontier = set(endpoints)
-    for _ in range(depth):
+    for _ in range(depth - 1):
         nxt: set[str] = set()
         for v in frontier:
             for u in adj.predecessors(v):
@@ -250,7 +253,7 @@ def _affected_heads(
     return sorted((heads[v] for v in reached if v in heads), key=lambda i: i.index)
 
 
-def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
+def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     """Generate a dataset per the config; byte-deterministic in the seed."""
     cfg.validate()
     kind = cfg.relation_kind
@@ -333,10 +336,8 @@ def gen_dataset(cfg: SynthConfig, verify: bool = True) -> SynthDataset:
         "support_triples": len(support),
         "entities": store.n_entities,
     }
-    dataset = SynthDataset(store, targets, ground, config)
-    if verify:
-        _verify_dataset(store, instances, arena, checks, formulas)
-    return dataset
+    _verify_dataset(store, instances, arena, checks, formulas)
+    return SynthDataset(store, targets, ground, config)
 
 
 def _verify_dataset(store, instances, arena, checks, formulas) -> None:

@@ -1,0 +1,44 @@
+"""Noise rejection rechecks every head a new edge can change."""
+
+import random
+
+import pytest
+
+from kglogic import FormulaArena, diamond_depth, parse
+from kglogic.synthgen import _RULES, _Adjacency, _affected_heads, _Instance
+
+RELATIONS = ("R1", "R2", "R3", "R4", "R5")
+CHECKS = list(dict.fromkeys(c for rule in _RULES.values() for c in (rule.el, rule.ql)))
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.tails.__name__)
+def test_every_changed_head_is_affected(check):
+    """On random graphs over R1..R5, every entity a head, a new edge changes
+    check.tails only at heads that _affected_heads returns."""
+    arena = FormulaArena()
+    depth = diamond_depth(arena, parse(check.text, arena))
+    rng = random.Random(7)
+    cases = changed = 0
+    for _ in range(400):
+        n = rng.randint(3, 9)
+        names = [f"e{i}" for i in range(n)]
+        heads = {v: _Instance(i, {"head": v}, [], ()) for i, v in enumerate(names)}
+        adj = _Adjacency()
+        for _ in range(rng.randint(n, 6 * n)):
+            adj.add(rng.choice(names), rng.choice(RELATIONS), rng.choice(names))
+        before = {v: check.tails(adj, v) for v in names}
+        for _ in range(10):
+            u, rel, w = rng.choice(names), rng.choice(RELATIONS), rng.choice(names)
+            if w in adj.out(rel, u):
+                continue
+            adj.add(u, rel, w)
+            affected = _affected_heads(adj, (u, w), heads, depth)
+            affected_names = {inst.roles["head"] for inst in affected}
+            for v in names:
+                cases += 1
+                if check.tails(adj, v) != before[v]:
+                    changed += 1
+                    assert v in affected_names, (check.text, (u, rel, w), v)
+            adj.remove(u, rel, w)
+    # with one hop less, every check misses some changed head here
+    assert cases > 20000 and changed > 100

@@ -29,7 +29,7 @@ def test_public_values_derived_from_catalogue():
     arena = FormulaArena()
     for rule in _RULES.values():
         for check in (rule.el, rule.ql):
-            # noise rejection walks back this many hops from a new edge
+            # noise rejection walks back one hop fewer than this from a new edge
             assert diamond_depth(arena, parse(check.text, arena)) == 3
 
 
