@@ -14,6 +14,7 @@ from .compiler import CompiledNet, compile_formula, explain, net_from_text, net_
 from .engine import (
     FeatureMatrix,
     forward,
+    forward_lanes,
     forward_rounds,
     init_features,
     readout,
@@ -24,6 +25,7 @@ from .evalrank import (
     evaluate_queries,
     rank_metrics,
     run_dataset,
+    score_queries,
     score_query,
     table2_run,
 )
@@ -38,7 +40,7 @@ from .formulas import (
     parse,
     relations_in,
 )
-from .labeling import Labeling, el_label, ground_constants, query_label
+from .labeling import Labeling, el_label, ground_constants, ground_queries, query_label
 from .store import INVERSE_SUFFIX, TripleStore, augment_inverses, load_store
 from .synthgen import (
     SUPPORT_RELATIONS,

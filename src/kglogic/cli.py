@@ -19,7 +19,7 @@ from .errors import KGLogicError
 from .evalrank import run_dataset
 from .formulas import FormulaArena, parse
 from .labeling import Labeling, el_label, query_label
-from .store import TripleStore, load_store
+from .store import TripleStore, load_store, read_text
 from .synthgen import (
     SUPPORT_RELATIONS, SynthConfig, gen_dataset, load_dataset, write_dataset,
 )
@@ -51,8 +51,8 @@ def _write_output(text: str, out: Optional[str], filename: str) -> None:
 
 
 def _load_kg(args: argparse.Namespace) -> TripleStore:
-    triples_text = Path(args.kg).read_text()
-    preds_text = Path(args.preds).read_text() if args.preds else None
+    triples_text = read_text(args.kg)
+    preds_text = read_text(args.preds) if args.preds else None
     return load_store(triples_text, preds_text)
 
 
@@ -111,7 +111,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     arena = FormulaArena()
-    root = parse(Path(args.formula).read_text().strip(), arena)
+    root = parse(read_text(args.formula).strip(), arena)
     net = compile_formula(arena, root)
     text = _echo_header(args) + net_to_text(net)
     if args.out is None:
@@ -127,7 +127,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     store = _load_kg(args)
     arena = FormulaArena()
-    root = parse(Path(args.formula).read_text().strip(), arena)
+    root = parse(read_text(args.formula).strip(), arena)
     bindings = _parse_bind(store, args.bind)
     table = model_check(store, arena, root, bindings)
     row = table.row_set(root)
@@ -156,7 +156,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise KGLogicError("run --kg needs --formula")
     store = _load_kg(args)
     arena = FormulaArena()
-    root = parse(Path(args.formula).read_text().strip(), arena)
+    root = parse(read_text(args.formula).strip(), arena)
     bindings = _parse_bind(store, args.bind)
     lab = _labeling_for(args, store, bindings)
     net = compile_formula(arena, root)
@@ -268,7 +268,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (KGLogicError, OSError, UnicodeDecodeError) as exc:
+    except (KGLogicError, OSError) as exc:
         sys.stderr.write(f"kglogic {args.command}: error: {exc}\n")
         return 2
 

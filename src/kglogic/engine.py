@@ -1,9 +1,13 @@
 """Execute a compiled network over a store: init, synchronous rounds, readout.
 
-All arithmetic is exact integer; the clamp activation maps every coordinate
-back into {0, 1}, so feature matrices are stored sparsely as one entity set
-per column.  Rounds are synchronous with double buffering.  Set the
-CML_KG_DEBUG=1 environment variable (or pass debug=True) to validate the
+All arithmetic is exact integer, and the clamp activation maps every
+coordinate back into {0, 1}.  One pass evaluates many bindings ("lanes") at
+once: each column maps an entity to a lane mask, a Python int whose bit i is
+set when the column holds at that entity in lane i (entities with a zero mask
+are left out).  `forward_lanes` runs a batch of lanes; `init_features`,
+`forward` and `forward_rounds` are its one-lane view over set-valued
+`FeatureMatrix` columns.  Rounds are synchronous with double buffering.  Set
+the CML_KG_DEBUG=1 environment variable (or pass debug=True) to validate the
 binary-closure invariant after initialization and after every round.
 """
 
@@ -19,6 +23,9 @@ from .errors import EvaluationError
 from .store import TripleStore
 
 DEBUG_ENV_VAR = "CML_KG_DEBUG"
+
+# One column of lane state: entity -> nonzero lane mask.
+Lanes = dict[int, int]
 
 
 def debug_enabled(flag: Optional[bool]) -> bool:
@@ -47,13 +54,52 @@ class FeatureMatrix:
         return out
 
 
-def _assert_closure(x: FeatureMatrix) -> None:
-    for col, members in enumerate(x.cols):
-        for v in members:
-            if not isinstance(v, int) or not 0 <= v < x.n_entities:
+def _assert_closure(cols: list[Lanes], n_entities: int, lanes: int) -> None:
+    for col, members in enumerate(cols):
+        for v, mask in members.items():
+            if not isinstance(v, int) or not 0 <= v < n_entities:
                 raise AssertionError(
                     f"binary-closure violation: column {col} holds {v!r}"
                 )
+            if type(mask) is not int or mask <= 0 or mask >> lanes:
+                raise AssertionError(
+                    f"binary-closure violation: column {col} has lane mask "
+                    f"{mask!r} at {v} with {lanes} lanes"
+                )
+
+
+def _init_lanes(
+    store: TripleStore,
+    net: CompiledNet,
+    const_masks: dict[str, Lanes],
+    lanes: int,
+    debug: Optional[bool],
+) -> list[Lanes]:
+    """Top and predicate columns hold in every lane; a constant column holds
+    at each entity in the lanes that `const_masks[name]` binds to it."""
+    n = store.n_entities
+    full = (1 << lanes) - 1
+    cols: list[Lanes] = []
+    for col in range(net.dim):
+        kind, name = net.atoms.get(col, (None, None))
+        if kind is None:
+            members: Lanes = {}
+        elif kind == "top":
+            members = dict.fromkeys(range(n), full)
+        elif kind == "pred":
+            members = dict.fromkeys(store.preds.get(name, ()), full)
+        elif kind == "const":
+            if name not in const_masks:
+                raise EvaluationError(f"unbound constant '@{name}'")
+            for v in const_masks[name]:
+                store.check_entity(v)
+            members = dict(const_masks[name])
+        else:
+            raise EvaluationError(f"unknown atom kind {kind!r}")
+        cols.append(members if full else {})
+    if debug_enabled(debug):
+        _assert_closure(cols, n, lanes)
+    return cols
 
 
 def init_features(
@@ -67,93 +113,191 @@ def init_features(
     Top columns start all-ones, predicate columns follow store.preds, and a
     constant column holds exactly the one entity its name is bound to.
     """
-    bindings = resolve_bindings(binding)
-    n = store.n_entities
-    cols: list[set[int]] = []
-    for col in range(net.dim):
-        atom = net.atoms.get(col)
-        if atom is None:
-            cols.append(set())
-            continue
-        kind, name = atom
-        if kind == "top":
-            cols.append(set(range(n)))
-        elif kind == "pred":
-            cols.append(set(store.preds.get(name, ())))
-        elif kind == "const":
-            if name not in bindings:
-                raise EvaluationError(f"unbound constant '@{name}'")
-            v = bindings[name]
-            store.check_entity(v)
-            cols.append({v})
+    masks = {name: {v: 1} for name, v in resolve_bindings(binding).items()}
+    cols = _init_lanes(store, net, masks, 1, debug)
+    return FeatureMatrix(store.n_entities, net.dim, [set(c) for c in cols], 0)
+
+
+def _conj(a: Lanes, b: Lanes) -> Lanes:
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for v, m in a.items():
+        m &= b.get(v, 0)
+        if m:
+            out[v] = m
+    return out
+
+
+def _complement(a: Lanes, full: int, n: int) -> Lanes:
+    out = dict.fromkeys(range(n), full) if full else {}
+    for v, m in a.items():
+        if m == full:
+            del out[v]
         else:
-            raise EvaluationError(f"unknown atom kind {kind!r}")
-    x = FeatureMatrix(n, net.dim, cols, round=0)
-    if debug_enabled(debug):
-        _assert_closure(x)
-    return x
+            out[v] = full ^ m
+    return out
+
+
+def _at_least(store: TripleStore, rid: int, a: Lanes, count: int, full: int) -> Lanes:
+    """Lanes where at least `count` incoming rid-neighbors hold in column a."""
+    if count == 1:
+        out: Lanes = {}
+        for u, m in a.items():
+            for t in store.successors(rid, u):
+                out[t] = out.get(t, 0) | m
+        return out
+    # saturating bit-sliced counters: planes[j] is bit j of each lane's count
+    width = count.bit_length()
+    planes_of: dict[int, list[int]] = {}
+    for u, m in a.items():
+        for t in store.successors(rid, u):
+            planes = planes_of.get(t)
+            if planes is None:
+                planes_of[t] = [m] + [0] * (width - 1)
+                continue
+            carry = m
+            for j, p in enumerate(planes):
+                planes[j] = p ^ carry
+                carry &= p
+                if not carry:
+                    break
+            else:  # overflowing lanes stay at 2**width - 1 >= count
+                for j in range(width):
+                    planes[j] |= carry
+    out = {}
+    for t, planes in planes_of.items():
+        # compare with count from the top plane down
+        above, equal = 0, full
+        for j in reversed(range(width)):
+            if count >> j & 1:
+                equal &= planes[j]
+            else:
+                above |= equal & planes[j]
+                equal &= ~planes[j]
+        if above | equal:
+            out[t] = above | equal
+    return out
+
+
+def _weighted(
+    store: TripleStore,
+    wires: list[tuple[Optional[int], int, int]],
+    bias: int,
+    cols: list[Lanes],
+    full: int,
+    n: int,
+) -> Lanes:
+    """Any other column: lanes where bias + the weighted inputs >= 1.
+
+    Each entity keeps the lanes' sums as a signed (two's complement)
+    bit-sliced integer that starts at bias - 1, wide enough not to overflow;
+    the lanes whose sign plane stays clear hold.
+    """
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for rid, row, weight in wires:
+        for u, m in cols[row].items():
+            for t in (u,) if rid is None else store.successors(rid, u):
+                terms.setdefault(t, []).append((m, weight))
+    out = dict.fromkeys(range(n), full) if bias >= 1 and full else {}
+    for v, pairs in terms.items():
+        start = bias - 1
+        width = (abs(start) + sum(abs(w) for _, w in pairs)).bit_length() + 1
+        planes = [full if start >> j & 1 else 0 for j in range(width)]
+        for m, w in pairs:
+            carry = 0
+            for j in range(width):
+                add = m if w >> j & 1 else 0
+                p = planes[j]
+                planes[j] = p ^ add ^ carry
+                carry = (p & add) | (carry & (p ^ add))
+        m = full & ~planes[-1]
+        if m:
+            out[v] = m
+        else:
+            out.pop(v, None)
+    return out
 
 
 def _run(
     store: TripleStore,
     net: CompiledNet,
-    x0: FeatureMatrix,
+    cols: list[Lanes],
+    height: int,
+    lanes: int,
     debug: Optional[bool],
     record: bool,
-):
-    if x0.n_cols != net.dim:
+) -> tuple[list[Lanes], list[list[Lanes]]]:
+    """net.layers synchronous rounds over `lanes` lanes; the final columns and,
+    with `record`, every round's columns (round 0 first)."""
+    if len(cols) != net.dim:
         raise EvaluationError(
-            f"feature width {x0.n_cols} does not match network dim {net.dim}"
+            f"feature width {len(cols)} does not match network dim {net.dim}"
         )
-    if x0.n_entities != store.n_entities:
+    if height != store.n_entities:
         raise EvaluationError(
-            f"feature height {x0.n_entities} does not match store size "
-            f"{store.n_entities}"
+            f"feature height {height} does not match store size {store.n_entities}"
         )
     dbg = debug_enabled(debug)
-    # the net's wires with each relation name resolved to its id
-    plans: list[list[tuple[Optional[int], int, int]]] = []
-    for wires in net.inputs:
+    n = store.n_entities
+    full = (1 << lanes) - 1
+    # each column's rule for one round, with relation names resolved to ids
+    steps = []
+    for wires, b in zip(net.inputs, net.bias):
         if any(rel is not None and weight != 1 for rel, _, weight in wires):
             raise EvaluationError("aggregation weights must be 0 or 1")
-        plans.append([
+        plan = [
             (rel if rel is None else store.relation_id(rel), row, weight)
             for rel, row, weight in wires
-        ])
-    n = store.n_entities
-    cols = [set(s) for s in x0.cols]
-    history = [FeatureMatrix(n, net.dim, cols, 0)]
+        ]
+        shape = [(rid is None, weight) for rid, _, weight in plan]
+        rows = [row for _, row, _ in plan]
+        if shape == [(True, 1)] and b == 0:
+            steps.append(lambda c, r=rows[0]: c[r])
+        elif shape == [(True, 1), (True, 1)] and b == -1:
+            steps.append(lambda c, j=rows[0], k=rows[1]: _conj(c[j], c[k]))
+        elif shape == [(True, -1)] and b == 1:
+            steps.append(lambda c, r=rows[0]: _complement(c[r], full, n))
+        elif shape == [(False, 1)] and b <= 0:
+            steps.append(
+                lambda c, rid=plan[0][0], r=rows[0], k=1 - b:
+                _at_least(store, rid, c[r], k, full)
+            )
+        else:
+            steps.append(lambda c, p=plan, b=b: _weighted(store, p, b, c, full, n))
+    history = [cols] if record else []
 
-    for rnd in range(1, net.layers + 1):
-        new_cols: list[set[int]] = []
-        for col, plan in enumerate(plans):
-            delta: dict[int, int] = {}
-            for rid, row, weight in plan:
-                if rid is None:
-                    for v in cols[row]:
-                        delta[v] = delta.get(v, 0) + weight
-                else:
-                    for u in cols[row]:
-                        for t in store.successors(rid, u):
-                            delta[t] = delta.get(t, 0) + 1
-            b = net.bias[col]
-            if b >= 1:
-                members = set(range(n))
-                for v, d in delta.items():
-                    if b + d <= 0:
-                        members.discard(v)
-            else:
-                members = {v for v, d in delta.items() if b + d >= 1}
-            new_cols.append(members)
-        # every round builds fresh sets, so snapshots can share them
-        cols = new_cols
+    for _ in range(net.layers):
+        # every round builds fresh dicts or passes an input through unchanged,
+        # and no dict is mutated after its round, so snapshots can share them
+        cols = [step(cols) for step in steps]
         if dbg:
-            _assert_closure(FeatureMatrix(n, net.dim, cols, rnd))
+            _assert_closure(cols, n, lanes)
         if record:
-            history.append(FeatureMatrix(n, net.dim, cols, rnd))
+            history.append(cols)
+    return cols, history
 
-    final = FeatureMatrix(n, net.dim, cols, net.layers)
-    return final, history
+
+def forward_lanes(
+    store: TripleStore,
+    net: CompiledNet,
+    const_masks: dict[str, Lanes],
+    lanes: int,
+    debug: Optional[bool] = None,
+) -> list[Lanes]:
+    """Initialize and run `lanes` bindings in one pass.
+
+    const_masks[name][v] has bit i set when lane i binds @name to entity v;
+    every constant of the net needs an entry.  Returns the final columns, each
+    mapping an entity to the nonzero mask of the lanes where it holds.
+    """
+    cols = _init_lanes(store, net, const_masks, lanes, debug)
+    final, _ = _run(store, net, cols, store.n_entities, lanes, debug, record=False)
+    return final
+
+
+def _one_lane(x0: FeatureMatrix) -> list[Lanes]:
+    return [dict.fromkeys(members, 1) for members in x0.cols]
 
 
 def forward(
@@ -163,8 +307,8 @@ def forward(
     debug: Optional[bool] = None,
 ) -> FeatureMatrix:
     """Run net.layers synchronous rounds and return the final state."""
-    final, _ = _run(store, net, x0, debug, record=False)
-    return final
+    final, _ = _run(store, net, _one_lane(x0), x0.n_entities, 1, debug, record=False)
+    return FeatureMatrix(x0.n_entities, net.dim, [set(c) for c in final], net.layers)
 
 
 def forward_rounds(
@@ -174,8 +318,11 @@ def forward_rounds(
     debug: Optional[bool] = None,
 ) -> list[FeatureMatrix]:
     """Like forward, but returns the state after every round (round 0 first)."""
-    _, history = _run(store, net, x0, debug, record=True)
-    return history
+    _, history = _run(store, net, _one_lane(x0), x0.n_entities, 1, debug, record=True)
+    return [
+        FeatureMatrix(x0.n_entities, net.dim, [set(c) for c in cols], rnd)
+        for rnd, cols in enumerate(history)
+    ]
 
 
 def readout(x: FeatureMatrix, net: CompiledNet) -> list[int]:

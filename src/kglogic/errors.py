@@ -6,7 +6,7 @@ class KGLogicError(ValueError):
 
 
 class TripleFileError(KGLogicError):
-    """Malformed triples or predicates file."""
+    """Malformed or undecodable input file (triples, predicates, dataset, formula)."""
 
 
 class FormulaSyntaxError(KGLogicError):

@@ -8,14 +8,14 @@ target lands within the top k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .checker import check_constant_free, model_check
 from .compiler import compile_formula
-from .engine import forward, init_features
+from .engine import forward_lanes
 from .errors import EvaluationError
 from .formulas import FormulaArena, constants_in, diamond_depth, format_formula, parse
-from .labeling import QUERY_CONSTANT, el_label, ground_constants, query_label
+from .labeling import QUERY_CONSTANT, Labeling, el_label, ground_queries
 from .store import TripleStore
 from .synthgen import SUPPORT_RELATIONS, SynthDataset, load_dataset, rule_text
 
@@ -48,8 +48,8 @@ def score_query(
     query: one grounding, binding the query constant to h.
     el:    also bind out-degree-labeled constants; abstract constants range
            over the labeled entities within the formula's diamond depth of
-           forward hops from h.  Both labeled modes run the network once per
-           grounding and score 1 on the union of the root column's entities.
+           forward hops from h.  Both labeled modes score 1 on the union of
+           the root column over the groundings (score_queries' lanes).
     """
     if labeling_mode not in LABELING_MODES:
         raise EvaluationError(f"unknown labeling mode {labeling_mode!r}")
@@ -72,25 +72,72 @@ def score_query(
             for t in range(store.n_entities)
         ]
 
+    return _dense(
+        score_queries(store, arena, formula, labeling_mode, d, [query])[0],
+        store.n_entities,
+    )
+
+
+def _dense(positives: set[int], n: int) -> list[int]:
+    return [1 if v in positives else 0 for v in range(n)]
+
+
+def score_queries(
+    store: TripleStore,
+    arena: FormulaArena,
+    formula: Optional[int],
+    labeling_mode: str,
+    d: int,
+    queries: Sequence[tuple[int, str]],
+) -> list[set[int]]:
+    """The entities scoring 1 for each query (h, relation), in one engine pass.
+
+    Every grounding of every query is one lane of a single `forward_lanes`
+    pass (query or el labeling, as in score_query); a query's positives are
+    the entities whose root column holds in any of its lanes.  The EL
+    labeling is built once for all queries.
+    """
+    if labeling_mode not in ("query", "el"):
+        raise EvaluationError(
+            f"score_queries needs query or el labeling, not {labeling_mode!r}"
+        )
     if formula is None:
         raise EvaluationError(f"labeling mode {labeling_mode!r} needs a formula")
+    heads = [h for h, _rel in queries]
+    for h in heads:
+        store.check_entity(h)
     consts = constants_in(arena, formula)
-    net = compile_formula(arena, formula)
-
     if labeling_mode == "query" and consts - {QUERY_CONSTANT}:
         extra = sorted(consts - {QUERY_CONSTANT})[0]
         raise EvaluationError(
             f"formula uses @{extra}; query labeling only binds @{QUERY_CONSTANT}"
         )
+    net = compile_formula(arena, formula)
+    if not heads:
+        return []
     # query labeling is entity labeling that labels nothing beyond h
-    lab = query_label(h) if labeling_mode == "query" else el_label(store, d, h)
-    depth = diamond_depth(arena, formula)
-    groundings = ground_constants(consts, lab, store, within_depth_of=(h, depth))
-    positives: set[int] = set()
-    for binding in groundings:
-        final = forward(store, net, init_features(store, net, binding))
-        positives |= final.cols[net.out_index]
-    return [1 if v in positives else 0 for v in range(store.n_entities)]
+    lab = Labeling() if labeling_mode == "query" else el_label(store, d, heads[0])
+    # lane i binds @name to v when bit i of masks[name][v] is set; owner[i] is
+    # its query, whose lanes end before ends[owner[i]]
+    masks: dict[str, dict[int, int]] = {name: {} for name in consts}
+    owner: list[int] = []
+    ends: list[int] = []
+    groundings = ground_queries(consts, lab, store, heads, diamond_depth(arena, formula))
+    for q, bindings in enumerate(groundings):
+        for binding in bindings:
+            bit = 1 << len(owner)
+            for name, v in binding.items():
+                masks[name][v] = masks[name].get(v, 0) | bit
+            owner.append(q)
+        ends.append(len(owner))
+    root = forward_lanes(store, net, masks, len(owner))[net.out_index]
+    positives: list[set[int]] = [set() for _ in heads]
+    for v, mask in root.items():
+        while mask:
+            q = owner[(mask & -mask).bit_length() - 1]
+            positives[q].add(v)
+            mask &= -(1 << ends[q])  # drop q's other lanes
+    return positives
 
 
 def rank_metrics(
@@ -192,13 +239,17 @@ def evaluate_queries(
         known.setdefault((h, r), set()).add(store.entity_id(t))
     formula_text = format_formula(arena, formula) if formula is not None else "-"
     report = RankReport(mode=mode, degree=d, formula_text=formula_text, k_list=k_list)
-    for h, r, t in test_targets:
-        hid = store.entity_id(h)
-        tid = store.entity_id(t)
-        scores = score_query(
-            store, arena, formula, labeling_mode, d, (hid, r), era_pair=era_pair
+    queries = [(store.entity_id(h), r) for h, r, _ in test_targets]
+    if labeling_mode == "none":
+        all_scores: Iterable[list[int]] = (
+            score_query(store, arena, formula, "none", d, q, era_pair=era_pair)
+            for q in queries
         )
-        entry = rank_metrics(scores, tid, known[(h, r)], k_list)
+    else:
+        positives = score_queries(store, arena, formula, labeling_mode, d, queries)
+        all_scores = (_dense(pos, store.n_entities) for pos in positives)
+    for (h, r, t), scores in zip(test_targets, all_scores):
+        entry = rank_metrics(scores, store.entity_id(t), known[(h, r)], k_list)
         entry.update({"h": h, "rel": r, "t": t})
         report.queries.append(entry)
     return report

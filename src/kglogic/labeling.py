@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import EvaluationError
 from .store import TripleStore
@@ -90,13 +90,43 @@ def ground_constants(
         if name in lab.bindings
     }
     abstract = sorted(set(formula_constants) - set(bound))
+    candidates = lab.el_entities() if abstract else []
+    if abstract and within_depth_of is not None:
+        ball = _forward_ball(store, *within_depth_of)
+        candidates = [v for v in candidates if v in ball]
+    return _permute(bound, abstract, candidates)
+
+
+def ground_queries(
+    formula_constants: set[str],
+    lab: Labeling,
+    store: TripleStore,
+    heads: Iterable[int],
+    hops: int,
+) -> Iterator[list[dict[str, int]]]:
+    """ground_constants for each head h in turn, with @h rebound to h and the
+    candidates restricted to h's forward ball of `hops` hops.
+
+    The labeling is read once for all heads (its own binding of @h is
+    ignored), and each head's groundings are built only when it is reached.
+    """
+    rest = set(formula_constants) - {QUERY_CONSTANT}
+    bound = {name: lab.bindings[name] for name in sorted(rest) if name in lab.bindings}
+    abstract = sorted(rest - set(bound))
+    candidates = lab.el_entities() if abstract else []
+    for h in heads:
+        if QUERY_CONSTANT in formula_constants:
+            bound[QUERY_CONSTANT] = h
+        ball = _forward_ball(store, h, hops) if abstract else ()
+        yield _permute(bound, abstract, [v for v in candidates if v in ball])
+
+
+def _permute(
+    bound: dict[str, int], abstract: list[str], candidates: list[int]
+) -> list[dict[str, int]]:
+    """`bound` extended by every injective assignment of abstract constants."""
     if not abstract:
         return [dict(bound)]
-    candidates = lab.el_entities()
-    if within_depth_of is not None:
-        anchor, hops = within_depth_of
-        ball = _forward_ball(store, anchor, hops)
-        candidates = [v for v in candidates if v in ball]
     if len(candidates) < len(abstract):
         return []
     out = []

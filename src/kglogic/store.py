@@ -6,6 +6,7 @@ The store is immutable after construction and safe to share between workers.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import EvaluationError, TripleFileError
@@ -156,6 +157,17 @@ class TripleStore:
             for eid in self.preds[pred]
         )
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def read_text(path) -> str:
+    """An input file's UTF-8 text; bytes that do not decode name the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TripleFileError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at "
+            f"offset {exc.start})"
+        ) from None
 
 
 def parse_tsv(text: str, n_fields: int, what: str) -> list[tuple[str, ...]]:

@@ -29,7 +29,7 @@ from .errors import EvaluationError, KGLogicError, TripleFileError
 from .formulas import (
     CHAIN_TEXT, I_TEXT, UPRIME_TEXT, FormulaArena, diamond_depth, parse,
 )
-from .store import TripleStore, load_store, parse_tsv
+from .store import TripleStore, load_store, parse_tsv, read_text
 
 # Query-constant-only approximant of the U rule: both branch chains, fork
 # unpinned.  Satisfied at the decoy tail too, by design.
@@ -375,19 +375,19 @@ def write_dataset(dataset: SynthDataset, outdir) -> None:
 def load_dataset(datadir) -> SynthDataset:
     """Read a directory produced by write_dataset."""
     path = Path(datadir)
-    store = load_store((path / "triples.tsv").read_text())
+    store = load_store(read_text(path / "triples.tsv"))
     targets: list[tuple[str, str, str, str]] = []
     for split in ("train", "valid", "test"):
         name = f"targets_{split}.tsv"
-        for h, r, t in parse_tsv((path / name).read_text(), 3, name):
+        for h, r, t in parse_tsv(read_text(path / name), 3, name):
             targets.append((h, r, t, split))
-    ground_rows = parse_tsv((path / "ground.tsv").read_text(), 3, "ground.tsv")
+    ground_rows = parse_tsv(read_text(path / "ground.tsv"), 3, "ground.tsv")
     ground = [
         (_int_field("ground.tsv", "instance index", idx), e, role)
         for idx, e, role in ground_rows
     ]
     config: dict = {}
-    for line in (path / "config.txt").read_text().split("\n"):
+    for line in read_text(path / "config.txt").split("\n"):
         if not line:
             continue
         key, _, value = line.partition("=")
