@@ -64,8 +64,9 @@ def _entity_props(
 
 def _in_edges(store: TripleStore) -> list[list[tuple[str, int]]]:
     edges: list[list[tuple[str, int]]] = [[] for _ in range(store.n_entities)]
+    names = store.relation_names
     for (rid, tail), heads in store.in_index.items():
-        name = store.relation_name(rid)
+        name = names[rid]
         for h in heads:
             edges[tail].append((name, h))
     return edges
@@ -87,6 +88,13 @@ def color_refine(
     (neighbor color, relation) pairs over its incoming edges.  Dense ids are
     assigned in first-seen order over the fixed entity ordering, so repeated
     runs produce identical maps.
+
+    Two shortcuts leave the result unchanged.  A round is a function of the
+    previous one alone, so once a round repeats the one before it, every
+    later round is a copy of it.  An entity alone in its class keeps a unique
+    signature whatever its in-edges are, so it takes the signature of its
+    previous color alone; refinement only splits classes, so the classes and
+    their first-seen order, hence the dense ids, stay the same.
     """
     if rounds < 0:
         raise EvaluationError(f"rounds must be >= 0, got {rounds}")
@@ -98,12 +106,17 @@ def color_refine(
     history = [colors]
     for _ in range(rounds):
         prev = history[-1]
+        if len(history) > 1 and prev == history[-2]:
+            history.append(list(prev))
+            continue
+        size = [0] * len(prev)
+        for c in prev:
+            size[c] += 1
         signatures = [
-            (
-                prev[v],
-                tuple(sorted((prev[u], rel) for rel, u in in_edges[v])),
-            )
-            for v in range(store.n_entities)
+            (c,)
+            if size[c] == 1
+            else (c, tuple(sorted((prev[u], rel) for rel, u in in_edges[v])))
+            for v, c in enumerate(prev)
         ]
         history.append(_dense(signatures))
     return ColorMap(history)

@@ -174,10 +174,10 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
     lab = _labeling_for(args, store, bindings)
     colors = color_refine(store, lab, rounds=args.rounds)
     lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
-    for rnd in range(len(colors.rounds)):
-        row = colors.colors(rnd)
-        for v in range(store.n_entities):
-            lines.append(f"{rnd}\t{store.entity_name(v)}\t{row[v]}")
+    names = store.entity_names
+    for rnd, row in enumerate(colors.rounds):
+        for name, color in zip(names, row):
+            lines.append(f"{rnd}\t{name}\t{color}")
     _write_output("\n".join(lines) + "\n", args.out, "bisim.tsv")
     return 0
 

@@ -6,9 +6,11 @@ once: each column maps an entity to a lane mask, a Python int whose bit i is
 set when the column holds at that entity in lane i (entities with a zero mask
 are left out).  `forward_lanes` runs a batch of lanes; `init_features`,
 `forward` and `forward_rounds` are its one-lane view over set-valued
-`FeatureMatrix` columns.  Rounds are synchronous with double buffering.  Set
+`FeatureMatrix` columns.  Rounds are synchronous with double buffering, and
+they stop at the fixpoint: once a round's columns equal the previous round's,
+every later round would equal them too, so the rest are not computed.  Set
 the CML_KG_DEBUG=1 environment variable (or pass debug=True) to validate the
-binary-closure invariant after initialization and after every round.
+binary-closure invariant after initialization and after every round computed.
 """
 
 from __future__ import annotations
@@ -229,7 +231,8 @@ def _run(
     record: bool,
 ) -> tuple[list[Lanes], list[list[Lanes]]]:
     """net.layers synchronous rounds over `lanes` lanes; the final columns and,
-    with `record`, every round's columns (round 0 first)."""
+    with `record`, every round's columns (round 0 first).  Rounds stop at the
+    first one that repeats its input, which every later round would repeat."""
     if len(cols) != net.dim:
         raise EvaluationError(
             f"feature width {len(cols)} does not match network dim {net.dim}"
@@ -270,11 +273,16 @@ def _run(
     for _ in range(net.layers):
         # every round builds fresh dicts or passes an input through unchanged,
         # and no dict is mutated after its round, so snapshots can share them
-        cols = [step(cols) for step in steps]
+        nxt = [step(cols) for step in steps]
         if dbg:
-            _assert_closure(cols, n, lanes)
+            _assert_closure(nxt, n, lanes)
+        if nxt == cols:
+            break
+        cols = nxt
         if record:
             history.append(cols)
+    if record:
+        history += [cols] * (net.layers + 1 - len(history))
     return cols, history
 
 

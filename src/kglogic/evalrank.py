@@ -8,7 +8,7 @@ target lands within the top k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .checker import check_constant_free, model_check
 from .compiler import compile_formula
@@ -57,20 +57,7 @@ def score_query(
     store.check_entity(h)
 
     if labeling_mode == "none":
-        if formula is not None and constants_in(arena, formula):
-            raise EvaluationError(
-                "constant-bearing formula requires query or el labeling"
-            )
-        if era_pair is None:
-            raise EvaluationError("labeling mode 'none' needs an era pair")
-        g1, g2, combinator = era_pair
-        check_constant_free(arena, g1, g2)
-        b1 = model_check(store, arena, g1).bit(g1, h)
-        g2_row = model_check(store, arena, g2).row_set(g2)
-        return [
-            _combine(combinator, b1, 1 if t in g2_row else 0)
-            for t in range(store.n_entities)
-        ]
+        return next(_era_scores(store, arena, formula, era_pair, [h]))
 
     return _dense(
         score_queries(store, arena, formula, labeling_mode, d, [query])[0],
@@ -80,6 +67,39 @@ def score_query(
 
 def _dense(positives: set[int], n: int) -> list[int]:
     return [1 if v in positives else 0 for v in range(n)]
+
+
+def _era_scores(
+    store: TripleStore,
+    arena: FormulaArena,
+    formula: Optional[int],
+    era_pair: Optional[tuple[int, int, str]],
+    heads: Iterable[int],
+) -> Iterator[list[int]]:
+    """score_query's `none` mode for each head in turn.
+
+    Both sentences are model-checked once, when the first head is reached;
+    heads on the same side of g1 share one score list.
+    """
+    if formula is not None and constants_in(arena, formula):
+        raise EvaluationError(
+            "constant-bearing formula requires query or el labeling"
+        )
+    if era_pair is None:
+        raise EvaluationError("labeling mode 'none' needs an era pair")
+    g1, g2, combinator = era_pair
+    check_constant_free(arena, g1, g2)
+    g1_row = model_check(store, arena, g1).row_set(g1)
+    g2_row = model_check(store, arena, g2).row_set(g2)
+    scores = [
+        [
+            _combine(combinator, b1, 1 if t in g2_row else 0)
+            for t in range(store.n_entities)
+        ]
+        for b1 in (0, 1)
+    ]
+    for h in heads:
+        yield scores[1 if h in g1_row else 0]
 
 
 def score_queries(
@@ -241,9 +261,8 @@ def evaluate_queries(
     report = RankReport(mode=mode, degree=d, formula_text=formula_text, k_list=k_list)
     queries = [(store.entity_id(h), r) for h, r, _ in test_targets]
     if labeling_mode == "none":
-        all_scores: Iterable[list[int]] = (
-            score_query(store, arena, formula, "none", d, q, era_pair=era_pair)
-            for q in queries
+        all_scores: Iterable[list[int]] = _era_scores(
+            store, arena, formula, era_pair, [h for h, _rel in queries]
         )
     else:
         positives = score_queries(store, arena, formula, labeling_mode, d, queries)

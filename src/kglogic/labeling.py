@@ -113,12 +113,12 @@ def ground_queries(
     rest = set(formula_constants) - {QUERY_CONSTANT}
     bound = {name: lab.bindings[name] for name in sorted(rest) if name in lab.bindings}
     abstract = sorted(rest - set(bound))
-    candidates = lab.el_entities() if abstract else []
+    el_set = set(lab.el_entities()) if abstract else set()
     for h in heads:
         if QUERY_CONSTANT in formula_constants:
             bound[QUERY_CONSTANT] = h
-        ball = _forward_ball(store, h, hops) if abstract else ()
-        yield _permute(bound, abstract, [v for v in candidates if v in ball])
+        ball = _forward_ball(store, h, hops) if abstract else set()
+        yield _permute(bound, abstract, sorted(ball & el_set))
 
 
 def _permute(
