@@ -18,6 +18,7 @@ from .formulas import (
     Not,
     Pred,
     Top,
+    _children,
     constants_in,
     enumerate_subformulas,
 )
@@ -76,20 +77,36 @@ def model_check(
     root: int,
     binding: BindingLike = None,
     op_counter: Optional[OpCounter] = None,
+    shared: Optional[dict[int, set[int]]] = None,
 ) -> TruthTable:
     """Evaluate every subformula of `root` over the store.
 
     Constants are resolved through `binding`; predicates missing from
     `store.preds` have empty extensions.  Raises on unbound constants and on
     relations absent from the store.
+
+    `shared` carries the rows of constant-free subformulas between calls over
+    the same store and arena: such a row does not depend on the binding, so a
+    row found there is taken as is (no ops counted), and each one computed is
+    added to it.
     """
     bindings = resolve_bindings(binding)
     n = store.n_entities
     table = TruthTable(n)
     counter = op_counter if op_counter is not None else OpCounter()
+    constant_free: set[int] = set()
 
     for fid in enumerate_subformulas(arena, root):
         node = arena.node(fid)
+        if shared is not None:
+            if fid in shared:
+                table.set_row(fid, shared[fid])
+                constant_free.add(fid)
+                continue
+            if not isinstance(node, Const) and all(
+                k in constant_free for k in _children(node)
+            ):
+                constant_free.add(fid)
         if isinstance(node, Top):
             row = set(range(n))
             counter.ops += n
@@ -131,6 +148,8 @@ def model_check(
         else:  # pragma: no cover - exhaustive over the AST
             raise EvaluationError(f"cannot evaluate node {node!r}")
         table.set_row(fid, row)
+        if fid in constant_free:
+            shared[fid] = row
     return table
 
 

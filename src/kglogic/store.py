@@ -41,12 +41,26 @@ class TripleStore:
         for name in relation_order or ():
             self._intern_relation(name)
 
+        # _intern_entity and _intern_relation inlined: this loop runs for
+        # every triple of every load
+        entity_ids, entity_names = self._entity_ids, self._entity_names
+        relation_ids, relation_names = self._relation_ids, self._relation_names
         self.triples: set[tuple[int, int, int]] = set()
+        add = self.triples.add
         for head, rel, tail in triples:
-            h = self._intern_entity(head)
-            r = self._intern_relation(rel)
-            t = self._intern_entity(tail)
-            self.triples.add((h, r, t))
+            h = entity_ids.get(head)
+            if h is None:
+                h = entity_ids[head] = len(entity_names)
+                entity_names.append(head)
+            r = relation_ids.get(rel)
+            if r is None:
+                r = relation_ids[rel] = len(relation_names)
+                relation_names.append(rel)
+            t = entity_ids.get(tail)
+            if t is None:
+                t = entity_ids[tail] = len(entity_names)
+                entity_names.append(tail)
+            add((h, r, t))
 
         self.preds: dict[str, set[int]] = {}
         for pred, entity in preds:

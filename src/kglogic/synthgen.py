@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Optional
 from .checker import model_check
 from .errors import EvaluationError, KGLogicError, TripleFileError
 from .formulas import (
-    CHAIN_TEXT, I_TEXT, UPRIME_TEXT, FormulaArena, diamond_depth, parse,
+    CHAIN_TEXT, I_TEXT, UPRIME_TEXT, And, Const, Diamond, FormulaArena, Pred, Top,
+    diamond_depth, enumerate_subformulas, parse,
 )
 from .store import TripleStore, load_store, parse_tsv, read_text
 
@@ -121,10 +122,11 @@ class _Adjacency:
 
 # Fast tail evaluators: the tails a check's formula holds at from head h,
 # united over all values of its other constants.  They code the rules a third
-# time because noise rejection runs them per affected head, 80,669 times for
-# gen U 500 --decoys seed 1: model_check takes 89-109 us a head there (Uprime
-# over 3.36 mean R1-successors, plus the query-only rule), these 17-22 us, so
-# it would add 6-7 s to a 2 s run (best of 5; Python 3.11, 2-vCPU Xeon).
+# time because noise rejection runs them per affected head, 2,895 times for
+# gen U 500 --decoys seed 1: model_check takes 133-149 us a head there (Uprime
+# over each R1-successor as @c, plus the query-only rule) on a finished store,
+# these 17-23 us, so it would add about 0.35 s to a 0.3 s run (Python 3.11,
+# 2-vCPU Xeon), before keeping a store in step with the adjacency.
 # A property test checks each one against the model checker.
 
 
@@ -230,26 +232,106 @@ def _build_instance(kind: str, index: int, decoys: bool, checks) -> _Instance:
     return _Instance(index, by_role, [(p + u, r, p + w) for u, r, w in edges], expected)
 
 
+# A walk is (endpoint, path): from the new edge's source "u" or target "w",
+# back along each relation of `path` in turn, through adj.pred.
+_Walk = tuple[str, tuple[str, ...]]
+
+
+def _back_walks(
+    arena: FormulaArena, roots, head: str
+) -> Optional[dict[str, tuple[_Walk, ...]]]:
+    """Per relation R, the walks from a new edge (u, R, w) that reach every
+    head whose tails under the formulas `roots` the edge can change.
+
+    One bottom-up pass.  anchor[f] is the set of relation paths from @head on
+    which every entity satisfying f lies: @head has {()}, <R>=N g extends
+    anchor[g] by R, and & takes an anchored side.  The edge can change
+    <R>=N g only at w and only when u satisfies g, so an anchored g walks back
+    from u.  An unanchored count over an edge-free operand (I's <R4>=2 top)
+    changes only at w; as a conjunct of an anchored formula it matters only
+    where w satisfies that sibling, so it walks back from w along the
+    sibling's paths.  Any other shape (!, |, an unanchored count under a
+    diamond or not under such a conjunction) returns None.
+    """
+    anchor: dict[int, frozenset] = {}  # anchored subformulas only
+    edge_free: set[int] = set()  # no diamond and unanchored
+    counts: set[int] = set()  # unanchored counts over an edge-free operand
+    walks: dict[str, set[_Walk]] = {}
+
+    def add(relation, end, paths):
+        walks.setdefault(relation, set()).update((end, p[::-1]) for p in paths)
+
+    subformulas = set()
+    for root in roots:
+        subformulas.update(enumerate_subformulas(arena, root))
+    for fid in sorted(subformulas):
+        node = arena.node(fid)
+        if isinstance(node, Const) and node.name == head:
+            anchor[fid] = frozenset({()})
+        elif isinstance(node, (Top, Pred, Const)):
+            edge_free.add(fid)
+        elif isinstance(node, Diamond) and node.sub in anchor:
+            add(node.relation, "u", anchor[node.sub])
+            anchor[fid] = frozenset(p + (node.relation,) for p in anchor[node.sub])
+        elif isinstance(node, Diamond) and node.sub in edge_free:
+            counts.add(fid)
+        elif isinstance(node, And):
+            sides = (node.left, node.right)
+            anchored = [s for s in sides if s in anchor]
+            if anchored:
+                anchor[fid] = anchor[anchored[0]]
+                for side in sides:
+                    if side in counts:
+                        add(arena.node(side).relation, "w", anchor[anchored[0]])
+            elif all(s in edge_free for s in sides):
+                edge_free.add(fid)
+            else:
+                return None
+        else:
+            return None
+    if any(root in counts for root in roots):
+        return None
+    return {r: tuple(sorted(ws)) for r, ws in sorted(walks.items())}
+
+
 def _affected_heads(
-    adj: _Adjacency, endpoints: tuple[str, str], heads: dict[str, _Instance], depth: int
+    adj: _Adjacency,
+    endpoints: tuple[str, str],
+    heads: dict[str, _Instance],
+    depth: int,
+    walks: Optional[tuple[_Walk, ...]] = None,
 ) -> list[_Instance]:
-    # Checks are anchored at @h: a new edge changes h's tails only on a rule
-    # path from h (its source at most depth - 1 hops out) or by feeding a count
-    # taken at most depth - 1 hops out (its target there, as for I's <R4>=2 top).
-    # Unsound for a count over an unanchored subformula at the tail, as in
-    # (<R4>=2 top & chain), which is depth hops out.
-    reached = set(endpoints)
-    frontier = set(endpoints)
-    for _ in range(depth - 1):
-        nxt: set[str] = set()
-        for v in frontier:
-            for u in adj.predecessors(v):
-                if u not in reached:
-                    reached.add(u)
-                    nxt.add(u)
-        if not nxt:
-            break
-        frontier = nxt
+    """The heads whose tails a new edge between `endpoints` can change.
+
+    `walks` is _back_walks' entry for the edge's relation.  Without it, every
+    entity within depth - 1 predecessor hops of either endpoint is taken: a
+    rule path from h reaches the edge's source there, and a count taken there
+    is fed at its target (as for I's <R4>=2 top).  That blind walk misses a
+    count over an unanchored operand at the tail, as in
+    (<R4>=2 top & <R3>=1 <R2>=1 <R1>=1 @h), which is depth hops out.
+    """
+    if walks is not None:
+        reached: set[str] = set()
+        start = dict(zip("uw", endpoints))
+        for end, path in walks:
+            frontier = {start[end]}
+            for r in path:
+                pred = adj.pred.get(r, {})
+                frontier = {p for v in frontier for p in pred.get(v, ())}
+            reached |= frontier
+    else:
+        reached = set(endpoints)
+        frontier = set(endpoints)
+        for _ in range(depth - 1):
+            nxt: set[str] = set()
+            for v in frontier:
+                for u in adj.predecessors(v):
+                    if u not in reached:
+                        reached.add(u)
+                        nxt.add(u)
+            if not nxt:
+                break
+            frontier = nxt
     return sorted((heads[v] for v in reached if v in heads), key=lambda i: i.index)
 
 
@@ -263,6 +345,7 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     checks = tuple(dict.fromkeys((rule.el, rule.ql)))  # el once when ql is el
     formulas = [parse(check.text, arena) for check in checks]
     depth = max(diamond_depth(arena, fid) for fid in formulas)
+    walks = _back_walks(arena, formulas, _HEAD[0][0])
 
     instances = [
         _build_instance(kind, i, cfg.decoys, checks) for i in range(cfg.n_instances)
@@ -298,7 +381,10 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
             adj.add(u, rel, w)
             bad = any(
                 check.tails(adj, inst.roles["head"]) != want
-                for inst in _affected_heads(adj, (u, w), heads, depth)
+                for inst in _affected_heads(
+                    adj, (u, w), heads, depth,
+                    None if walks is None else walks.get(rel, ()),
+                )
                 for check, want in zip(checks, inst.expected)
             )
             if bad:
@@ -341,11 +427,17 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
 
 
 def _verify_dataset(store, instances, arena, checks, formulas) -> None:
-    """Cross-check the generator's incremental bookkeeping with the model checker."""
+    """Cross-check the generator's incremental bookkeeping with the model checker.
+
+    Constant-free rows (I's top and <R4>=2 top) are the same for every
+    instance, so they are evaluated once and shared, which keeps this linear
+    in the instance count.
+    """
+    shared: dict[int, set[int]] = {}
     for inst in instances:
         for check, fid, want in zip(checks, formulas, inst.expected):
             binding = {c: store.entity_id(inst.roles[r]) for c, r in check.binding}
-            table = model_check(store, arena, fid, binding)
+            table = model_check(store, arena, fid, binding, shared=shared)
             got = {store.entity_name(v) for v in table.row_set(fid)}
             if got != want:
                 raise KGLogicError(
