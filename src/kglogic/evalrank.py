@@ -3,6 +3,11 @@
 Scores are binary, so ties are pervasive; ranks use the expected-rank
 convention (uniform tie-breaking), which makes hit@k the probability that the
 target lands within the top k.
+
+A query's score is its positive set (the tails scoring 1), so its filtered
+metrics cost O(|positives| + |known|) plus the reciprocal-rank sum over the
+target's tie group, never an n-length score list.  Scoring runs a split's
+groundings as the lanes of engine passes of at most PASS_LANES lanes each.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .checker import check_constant_free, model_check
-from .compiler import compile_formula
+from .compiler import CompiledNet, compile_formula
 from .engine import forward_lanes
 from .errors import EvaluationError
 from .formulas import FormulaArena, constants_in, diamond_depth, format_formula, parse
@@ -21,6 +26,9 @@ from .synthgen import SUPPORT_RELATIONS, SynthDataset, load_dataset, rule_text
 
 LABELING_MODES = ("none", "query", "el")
 DEFAULT_ERA_PAIR = ("top", "top", "and")
+# lanes per engine pass; a query's lanes share one pass, so a query with more
+# lanes than this runs alone
+PASS_LANES = 4096
 
 
 def _combine(combinator: str, b1: int, b2: int) -> int:
@@ -57,29 +65,27 @@ def score_query(
     store.check_entity(h)
 
     if labeling_mode == "none":
-        return next(_era_scores(store, arena, formula, era_pair, [h]))
-
-    return _dense(
-        score_queries(store, arena, formula, labeling_mode, d, [query])[0],
-        store.n_entities,
-    )
+        positives = next(_era_positives(store, arena, formula, era_pair, [h]))
+    else:
+        positives = score_queries(store, arena, formula, labeling_mode, d, [query])[0]
+    return _dense(positives, store.n_entities)
 
 
 def _dense(positives: set[int], n: int) -> list[int]:
     return [1 if v in positives else 0 for v in range(n)]
 
 
-def _era_scores(
+def _era_positives(
     store: TripleStore,
     arena: FormulaArena,
     formula: Optional[int],
     era_pair: Optional[tuple[int, int, str]],
     heads: Iterable[int],
-) -> Iterator[list[int]]:
-    """score_query's `none` mode for each head in turn.
+) -> Iterator[set[int]]:
+    """score_query's `none` mode for each head in turn, as positive sets.
 
     Both sentences are model-checked once, when the first head is reached;
-    heads on the same side of g1 share one score list.
+    heads on the same side of g1 share one positive set.
     """
     if formula is not None and constants_in(arena, formula):
         raise EvaluationError(
@@ -91,15 +97,16 @@ def _era_scores(
     check_constant_free(arena, g1, g2)
     g1_row = model_check(store, arena, g1).row_set(g1)
     g2_row = model_check(store, arena, g2).row_set(g2)
-    scores = [
-        [
-            _combine(combinator, b1, 1 if t in g2_row else 0)
+    sides = [
+        {
+            t
             for t in range(store.n_entities)
-        ]
+            if _combine(combinator, b1, 1 if t in g2_row else 0)
+        }
         for b1 in (0, 1)
     ]
     for h in heads:
-        yield scores[1 if h in g1_row else 0]
+        yield sides[1 if h in g1_row else 0]
 
 
 def score_queries(
@@ -110,12 +117,13 @@ def score_queries(
     d: int,
     queries: Sequence[tuple[int, str]],
 ) -> list[set[int]]:
-    """The entities scoring 1 for each query (h, relation), in one engine pass.
+    """The entities scoring 1 for each query (h, relation), in lane passes.
 
-    Every grounding of every query is one lane of a single `forward_lanes`
-    pass (query or el labeling, as in score_query); a query's positives are
-    the entities whose root column holds in any of its lanes.  The EL
-    labeling is built once for all queries.
+    Every grounding of every query is one lane of a `forward_lanes` pass
+    (query or el labeling, as in score_query); a query's positives are the
+    entities whose root column holds in any of its lanes.  Consecutive queries
+    share a pass while their lanes fit in PASS_LANES.  The EL labeling is
+    built once for all queries.
     """
     if labeling_mode not in ("query", "el"):
         raise EvaluationError(
@@ -137,21 +145,38 @@ def score_queries(
         return []
     # query labeling is entity labeling that labels nothing beyond h
     lab = Labeling() if labeling_mode == "query" else el_label(store, d, heads[0])
-    # lane i binds @name to v when bit i of masks[name][v] is set; owner[i] is
-    # its query, whose lanes end before ends[owner[i]]
-    masks: dict[str, dict[int, int]] = {name: {} for name in consts}
-    owner: list[int] = []
-    ends: list[int] = []
     groundings = ground_queries(consts, lab, store, heads, diamond_depth(arena, formula))
-    for q, bindings in enumerate(groundings):
+    # lane i binds @name to v when bit i of masks[name][v] is set; query q of
+    # the pass owns lanes ends[q - 1] (0 for q = 0) up to ends[q]
+    positives: list[set[int]] = []
+    masks: dict[str, dict[int, int]] = {name: {} for name in consts}
+    ends: list[int] = []
+    lanes = 0
+    for bindings in groundings:
+        if ends and lanes + len(bindings) > PASS_LANES:
+            positives += _lane_pass(store, net, masks, ends)
+            masks, ends, lanes = {name: {} for name in consts}, [], 0
         for binding in bindings:
-            bit = 1 << len(owner)
+            bit = 1 << lanes
             for name, v in binding.items():
                 masks[name][v] = masks[name].get(v, 0) | bit
-            owner.append(q)
-        ends.append(len(owner))
+            lanes += 1
+        ends.append(lanes)
+    return positives + _lane_pass(store, net, masks, ends)
+
+
+def _lane_pass(
+    store: TripleStore,
+    net: CompiledNet,
+    masks: dict[str, dict[int, int]],
+    ends: list[int],
+) -> list[set[int]]:
+    """The positives of each query of one forward_lanes pass."""
+    owner: list[int] = []  # owner[i] is lane i's query
+    for q, end in enumerate(ends):
+        owner += [q] * (end - len(owner))
     root = forward_lanes(store, net, masks, len(owner))[net.out_index]
-    positives: list[set[int]] = [set() for _ in heads]
+    positives: list[set[int]] = [set() for _ in ends]
     for v, mask in root.items():
         while mask:
             q = owner[(mask & -mask).bit_length() - 1]
@@ -178,11 +203,39 @@ def rank_metrics(
     if not 0 <= target < n:
         raise EvaluationError(f"target {target} outside the score vector")
     candidates = [v for v in range(n) if v == target or v not in known_true]
-    if target not in candidates:
-        raise EvaluationError("target was filtered out of the candidate set")
     s = scores[target]
     better = sum(1 for v in candidates if scores[v] > s)
     tied = sum(1 for v in candidates if scores[v] == s)  # includes the target
+    return _metrics(better, tied, len(candidates), k_list)
+
+
+def _sparse_metrics(
+    positives: set[int],
+    target: int,
+    known_true: set[int],
+    n: int,
+    k_list: Sequence[int],
+) -> dict:
+    """rank_metrics(_dense(positives, n), target, known_true, k_list), from
+    the sets alone: O(|known_true|) plus the reciprocal-rank sum.
+
+    Filtering drops the known tails other than the target, K; a positive
+    target ties with the other unfiltered positives, and a negative one ranks
+    below them and ties with every other candidate.
+    """
+    filtered = len(known_true) - (target in known_true)  # |K|
+    hidden = sum(1 for v in known_true if v != target and v in positives)
+    unfiltered = len(positives) - hidden  # |positives - K|
+    n_candidates = n - filtered
+    if target in positives:
+        return _metrics(0, unfiltered, n_candidates, k_list)
+    return _metrics(unfiltered, n_candidates - unfiltered, n_candidates, k_list)
+
+
+def _metrics(better: int, tied: int, n_candidates: int, k_list: Sequence[int]) -> dict:
+    """The metrics of a target tied with `tied` candidates (itself included)
+    below `better` others: it lands on positions better+1..better+tied
+    uniformly."""
     rank = better + (tied + 1) / 2
     hits = {}
     for k in k_list:
@@ -194,7 +247,7 @@ def rank_metrics(
         "rr": rr,
         "better": better,
         "tied": tied,
-        "n_candidates": len(candidates),
+        "n_candidates": n_candidates,
     }
 
 
@@ -261,14 +314,16 @@ def evaluate_queries(
     report = RankReport(mode=mode, degree=d, formula_text=formula_text, k_list=k_list)
     queries = [(store.entity_id(h), r) for h, r, _ in test_targets]
     if labeling_mode == "none":
-        all_scores: Iterable[list[int]] = _era_scores(
+        all_positives: Iterable[set[int]] = _era_positives(
             store, arena, formula, era_pair, [h for h, _rel in queries]
         )
     else:
-        positives = score_queries(store, arena, formula, labeling_mode, d, queries)
-        all_scores = (_dense(pos, store.n_entities) for pos in positives)
-    for (h, r, t), scores in zip(test_targets, all_scores):
-        entry = rank_metrics(scores, store.entity_id(t), known[(h, r)], k_list)
+        all_positives = score_queries(store, arena, formula, labeling_mode, d, queries)
+    for (h, r, t), positives in zip(test_targets, all_positives):
+        known_true = known.get((h, r), set())
+        entry = _sparse_metrics(
+            positives, store.entity_id(t), known_true, store.n_entities, k_list
+        )
         entry.update({"h": h, "rel": r, "t": t})
         report.queries.append(entry)
     return report
