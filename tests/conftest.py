@@ -1,13 +1,6 @@
 import sys
 from pathlib import Path
 
-from hypothesis import settings
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-# property tests draw the same examples on every run, and a slow shared host
-# does not fail them on timing
-settings.register_profile("derandomized", derandomize=True, deadline=None)
-settings.load_profile("derandomized")

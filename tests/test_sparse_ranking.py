@@ -1,7 +1,8 @@
 """Filtered metrics from positive sets, and scoring in bounded lane passes."""
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kglogic import (
     FormulaArena,
@@ -24,29 +25,22 @@ from kglogic.synthgen import rule_text
 from test_golden_datasets import GOLDEN_CONFIGS
 
 
-@st.composite
-def ranking_cases(draw):
-    n = draw(st.integers(1, 60))
-    ids = st.integers(0, n - 1)
-    positives = draw(st.sets(ids))
-    known = draw(st.sets(ids))
-    target = draw(ids)
-    if draw(st.booleans()):
-        positives.add(target)
-    else:
-        positives.discard(target)
-    k_list = tuple(draw(st.lists(st.integers(1, n + 5), max_size=4)))
-    return positives, target, known, n, k_list
-
-
-@settings(max_examples=500)
-@given(ranking_cases())
-def test_sparse_metrics_equal_dense_rank_metrics(case):
-    positives, target, known, n, k_list = case
-    sparse = evalrank._sparse_metrics(positives, target, known, n, k_list)
-    dense = rank_metrics(evalrank._dense(positives, n), target, known, k_list)
-    assert sparse == dense
-    assert repr(sparse) == repr(dense)
+def test_sparse_metrics_equal_dense_rank_metrics():
+    rng = random.Random(8)
+    for case in range(500):
+        n = rng.randint(1, 60)
+        positives = {v for v in range(n) if rng.random() < rng.random()}
+        known = {v for v in range(n) if rng.random() < rng.random()}
+        target = rng.randrange(n)
+        if case % 2:
+            positives.add(target)
+        else:
+            positives.discard(target)
+        k_list = tuple(rng.randint(1, n + 5) for _ in range(rng.randint(0, 4)))
+        sparse = evalrank._sparse_metrics(positives, target, known, n, k_list)
+        dense = rank_metrics(evalrank._dense(positives, n), target, known, k_list)
+        assert sparse == dense
+        assert repr(sparse) == repr(dense)
 
 
 @pytest.mark.parametrize("mode", ["era", "ql", "el"])
@@ -77,10 +71,11 @@ def test_test_triple_missing_from_all_targets():
 
 
 def _greedy_passes(lane_counts, cap):
-    """Consecutive queries grouped while their lanes fit in cap."""
+    """Consecutive queries grouped while their lanes fit in cap; queries
+    without lanes ride along with the next pass."""
     passes = [[]]
     for count in lane_counts:
-        if passes[-1] and sum(passes[-1]) + count > cap:
+        if sum(passes[-1]) and sum(passes[-1]) + count > cap:
             passes.append([])
         passes[-1].append(count)
     return passes
@@ -127,7 +122,39 @@ def test_small_lane_cap_keeps_sets_and_bounds_passes(monkeypatch, cfg, mode):
     assert len(el_labels) == (2 if mode == "el" else 0)
     expected = _greedy_passes(lane_counts, cap)
     assert passes == [sum(group) for group in expected]
+    assert 0 not in passes
     for group in expected:
-        assert sum(group) <= cap or len(group) == 1
+        assert sum(group) <= cap or sum(1 for count in group if count) == 1
     assert len(passes) > 1
     assert any(len(group) > 1 for group in expected)
+
+
+def test_query_without_lanes_rides_with_the_next_pass(monkeypatch):
+    cfg = next(c for c in GOLDEN_CONFIGS if c.relation_kind == "U")
+    store = gen_dataset(cfg).store
+    arena = FormulaArena()
+    fid = parse(rule_text("U", "el"), arena)
+    heads = list(range(store.n_entities))
+    lab = el_label(store, 1, heads[0])
+    counts = [
+        len(bindings)
+        for bindings in ground_queries(
+            constants_in(arena, fid), lab, store, heads, diamond_depth(arena, fid)
+        )
+    ]
+    empty, wide = counts.index(0), counts.index(max(counts))
+    queries = [(empty, "U"), (wide, "U")]
+    unbounded = score_queries(store, arena, fid, "el", 1, queries)
+
+    passes = []
+    real_forward = evalrank.forward_lanes
+
+    def recording_forward(store, net, masks, lanes, *args):
+        passes.append(lanes)
+        return real_forward(store, net, masks, lanes, *args)
+
+    monkeypatch.setattr(evalrank, "forward_lanes", recording_forward)
+    monkeypatch.setattr(evalrank, "PASS_LANES", max(counts) - 1)
+    assert score_queries(store, arena, fid, "el", 1, queries) == unbounded
+    assert unbounded[0] == set()
+    assert passes == [max(counts)]
