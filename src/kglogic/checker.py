@@ -7,7 +7,7 @@ at v when at least N heads u with (u, R, v) in the store satisfy f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import EvaluationError
 from .formulas import (
@@ -153,7 +153,20 @@ def model_check(
     return table
 
 
-_COMBINATORS = ("and", "not-left", "or")
+# an era pair's score from b1 = g1 at the head and b2 = g2 at the tail
+_COMBINATORS: dict[str, Callable[[int, int], int]] = {
+    "and": lambda b1, b2: b1 & b2,
+    "not-left": lambda b1, b2: 1 - b1,
+    "or": lambda b1, b2: b1 | b2,
+}
+
+
+def era_combinator(name: str) -> Callable[[int, int], int]:
+    """The combinator `name` of a head/tail sentence pair, as a function of
+    the two sentences' bits."""
+    if name not in _COMBINATORS:
+        raise EvaluationError(f"unknown combinator {name!r}")
+    return _COMBINATORS[name]
 
 
 def check_constant_free(arena: FormulaArena, g1: int, g2: int) -> None:
@@ -180,15 +193,10 @@ def check_sentence_pair(
     This is exactly the semantics a score that multiplies or negates
     independently computed head and tail representations can realize.
     """
-    if combinator not in _COMBINATORS:
-        raise EvaluationError(f"unknown combinator {combinator!r}")
+    combine = era_combinator(combinator)
     check_constant_free(arena, g1, g2)
     store.check_entity(h)
     store.check_entity(t)
     b1 = model_check(store, arena, g1).bit(g1, h)
     b2 = model_check(store, arena, g2).bit(g2, t)
-    if combinator == "and":
-        return b1 & b2
-    if combinator == "not-left":
-        return 1 - b1
-    return b1 | b2
+    return combine(b1, b2)

@@ -13,14 +13,14 @@ groundings as the lanes of engine passes of at most PASS_LANES lanes each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .checker import check_constant_free, model_check
+from .checker import check_constant_free, era_combinator, model_check
 from .compiler import CompiledNet, compile_formula
 from .engine import forward_lanes
 from .errors import EvaluationError
 from .formulas import FormulaArena, constants_in, diamond_depth, format_formula, parse
-from .labeling import QUERY_CONSTANT, Labeling, el_label, ground_queries
+from .labeling import QUERY_CONSTANT, Labeling, check_degree, el_label, ground_queries
 from .store import TripleStore
 from .synthgen import SUPPORT_RELATIONS, SynthDataset, load_dataset, rule_text
 
@@ -30,16 +30,6 @@ DEFAULT_ERA_PAIR = ("top", "top", "and")
 # lanes than this runs alone.  Sized above the 3,600-4,300 lanes of a
 # 600-instance U test split in el mode, so that split runs in one pass.
 PASS_LANES = 8192
-
-
-def _combine(combinator: str, b1: int, b2: int) -> int:
-    if combinator == "and":
-        return b1 & b2
-    if combinator == "not-left":
-        return 1 - b1
-    if combinator == "or":
-        return b1 | b2
-    raise EvaluationError(f"unknown combinator {combinator!r}")
 
 
 def score_query(
@@ -66,7 +56,7 @@ def score_query(
     store.check_entity(h)
 
     if labeling_mode == "none":
-        positives = next(_era_positives(store, arena, formula, era_pair, [h]))
+        positives = _era_positives(store, arena, formula, era_pair, [h])[0]
     else:
         positives = score_queries(store, arena, formula, labeling_mode, d, [query])[0]
     return _dense(positives, store.n_entities)
@@ -82,11 +72,12 @@ def _era_positives(
     formula: Optional[int],
     era_pair: Optional[tuple[int, int, str]],
     heads: Iterable[int],
-) -> Iterator[set[int]]:
-    """score_query's `none` mode for each head in turn, as positive sets.
+) -> list[set[int]]:
+    """score_query's `none` mode for each head, as positive sets.
 
-    Both sentences are model-checked once, when the first head is reached;
-    heads on the same side of g1 share one positive set.
+    Both sentences are model-checked once, even for no heads, so that an
+    invalid pair fails alike on every split; heads on the same side of g1
+    share one positive set.
     """
     if formula is not None and constants_in(arena, formula):
         raise EvaluationError(
@@ -98,16 +89,12 @@ def _era_positives(
     check_constant_free(arena, g1, g2)
     g1_row = model_check(store, arena, g1).row_set(g1)
     g2_row = model_check(store, arena, g2).row_set(g2)
+    combine = era_combinator(combinator)
     sides = [
-        {
-            t
-            for t in range(store.n_entities)
-            if _combine(combinator, b1, 1 if t in g2_row else 0)
-        }
+        {t for t in range(store.n_entities) if combine(b1, 1 if t in g2_row else 0)}
         for b1 in (0, 1)
     ]
-    for h in heads:
-        yield sides[1 if h in g1_row else 0]
+    return [sides[1 if h in g1_row else 0] for h in heads]
 
 
 def score_queries(
@@ -141,6 +128,8 @@ def score_queries(
         raise EvaluationError(
             f"formula uses @{extra}; query labeling only binds @{QUERY_CONSTANT}"
         )
+    if labeling_mode == "el":
+        check_degree(d)  # here too, as a split without queries returns early
     net = compile_formula(arena, formula)
     if not heads:
         return []
@@ -315,7 +304,7 @@ def evaluate_queries(
     report = RankReport(mode=mode, degree=d, formula_text=formula_text, k_list=k_list)
     queries = [(store.entity_id(h), r) for h, r, _ in test_targets]
     if labeling_mode == "none":
-        all_positives: Iterable[set[int]] = _era_positives(
+        all_positives = _era_positives(
             store, arena, formula, era_pair, [h for h, _rel in queries]
         )
     else:

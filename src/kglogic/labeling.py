@@ -35,14 +35,19 @@ def query_label(h: int) -> Labeling:
     return Labeling({QUERY_CONSTANT: h}, {QUERY_CONSTANT: "query"})
 
 
+def check_degree(d: int) -> None:
+    """Reject a negative out-degree threshold for entity labeling."""
+    if d < 0:
+        raise EvaluationError(f"degree threshold must be >= 0, got {d}")
+
+
 def el_label(store: TripleStore, d: int, h: int) -> Labeling:
     """Bind a fresh constant to every entity whose out-degree exceeds d.
 
     Constants are named el_<entity id> in ascending id order, and the query
     constant is bound to h as well.
     """
-    if d < 0:
-        raise EvaluationError(f"degree threshold must be >= 0, got {d}")
+    check_degree(d)
     store.check_entity(h)
     lab = query_label(h)
     for v in range(store.n_entities):

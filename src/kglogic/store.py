@@ -19,9 +19,9 @@ class TripleStore:
     """A deduplicated set of (head, relation, tail) triples plus unary facts.
 
     `in_index` maps (relation id, tail id) to the sorted head ids pointing at
-    the tail; this incoming direction is the neighbor convention used by every
-    evaluator in the package.  `out_degree[v]` counts outgoing triples of `v`
-    over the original (non-inverse) relations only.
+    the tail; `neighbors` and the bisimulation refinement read this incoming
+    direction.  `out_degree[v]` counts outgoing triples of `v` over the
+    original (non-inverse) relations only.
     """
 
     def __init__(
@@ -32,19 +32,12 @@ class TripleStore:
         relation_order: Optional[Sequence[str]] = None,
         _out_degree: Optional[dict[int, int]] = None,
     ):
-        self._entity_names: list[str] = []
-        self._entity_ids: dict[str, int] = {}
-        self._relation_names: list[str] = []
-        self._relation_ids: dict[str, int] = {}
-        for name in entity_order or ():
-            self._intern_entity(name)
-        for name in relation_order or ():
-            self._intern_relation(name)
-
-        # _intern_entity and _intern_relation inlined: this loop runs for
-        # every triple of every load
-        entity_ids, entity_names = self._entity_ids, self._entity_names
-        relation_ids, relation_names = self._relation_ids, self._relation_names
+        # dense ids in first-seen order, the given orders first; interning is
+        # inline because this loop runs for every triple of every load
+        entity_names = self._entity_names = list(dict.fromkeys(entity_order or ()))
+        entity_ids = self._entity_ids = {e: i for i, e in enumerate(entity_names)}
+        relation_names = self._relation_names = list(dict.fromkeys(relation_order or ()))
+        relation_ids = self._relation_ids = {r: i for i, r in enumerate(relation_names)}
         self.triples: set[tuple[int, int, int]] = set()
         add = self.triples.add
         for head, rel, tail in triples:
@@ -84,22 +77,6 @@ class TripleStore:
             self.out_degree = {
                 v: _out_degree.get(v, 0) for v in range(len(self._entity_names))
             }
-
-    def _intern_entity(self, name: str) -> int:
-        eid = self._entity_ids.get(name)
-        if eid is None:
-            eid = len(self._entity_names)
-            self._entity_names.append(name)
-            self._entity_ids[name] = eid
-        return eid
-
-    def _intern_relation(self, name: str) -> int:
-        rid = self._relation_ids.get(name)
-        if rid is None:
-            rid = len(self._relation_names)
-            self._relation_names.append(name)
-            self._relation_ids[name] = rid
-        return rid
 
     @property
     def n_entities(self) -> int:

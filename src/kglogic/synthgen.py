@@ -28,7 +28,7 @@ from .checker import model_check
 from .errors import EvaluationError, KGLogicError, TripleFileError
 from .formulas import (
     CHAIN_TEXT, I_TEXT, UPRIME_TEXT, And, Const, Diamond, FormulaArena, Pred, Top,
-    diamond_depth, enumerate_subformulas, parse,
+    enumerate_subformulas, parse,
 )
 from .store import TripleStore, load_store, parse_tsv, read_text
 
@@ -112,12 +112,6 @@ class _Adjacency:
 
     def in_count(self, r: str, v: str) -> int:
         return len(self.pred.get(r, {}).get(v, ()))
-
-    def predecessors(self, v: str) -> set[str]:
-        result: set[str] = set()
-        for by_tail in self.pred.values():
-            result |= by_tail.get(v, set())
-        return result
 
 
 # Fast tail evaluators: the tails a check's formula holds at from head h,
@@ -251,7 +245,9 @@ def _back_walks(
     changes only at w; as a conjunct of an anchored formula it matters only
     where w satisfies that sibling, so it walks back from w along the
     sibling's paths.  Any other shape (!, |, an unanchored count under a
-    diamond or not under such a conjunction) returns None.
+    diamond or not under such a conjunction) returns None.  These walks are
+    noise rejection's only way to find affected heads, so a catalogue rule
+    must derive a table (tests pin each kind's).
     """
     anchor: dict[int, frozenset] = {}  # anchored subformulas only
     edge_free: set[int] = set()  # no diamond and unanchored
@@ -298,40 +294,18 @@ def _affected_heads(
     adj: _Adjacency,
     endpoints: tuple[str, str],
     heads: dict[str, _Instance],
-    depth: int,
-    walks: Optional[tuple[_Walk, ...]] = None,
+    walks: tuple[_Walk, ...],
 ) -> list[_Instance]:
-    """The heads whose tails a new edge between `endpoints` can change.
-
-    `walks` is _back_walks' entry for the edge's relation.  Without it, every
-    entity within depth - 1 predecessor hops of either endpoint is taken: a
-    rule path from h reaches the edge's source there, and a count taken there
-    is fed at its target (as for I's <R4>=2 top).  That blind walk misses a
-    count over an unanchored operand at the tail, as in
-    (<R4>=2 top & <R3>=1 <R2>=1 <R1>=1 @h), which is depth hops out.
-    """
-    if walks is not None:
-        reached: set[str] = set()
-        start = dict(zip("uw", endpoints))
-        for end, path in walks:
-            frontier = {start[end]}
-            for r in path:
-                pred = adj.pred.get(r, {})
-                frontier = {p for v in frontier for p in pred.get(v, ())}
-            reached |= frontier
-    else:
-        reached = set(endpoints)
-        frontier = set(endpoints)
-        for _ in range(depth - 1):
-            nxt: set[str] = set()
-            for v in frontier:
-                for u in adj.predecessors(v):
-                    if u not in reached:
-                        reached.add(u)
-                        nxt.add(u)
-            if not nxt:
-                break
-            frontier = nxt
+    """The heads whose tails a new edge between `endpoints` can change: those
+    that `walks`, _back_walks' entry for the edge's relation, reach."""
+    reached: set[str] = set()
+    start = dict(zip("uw", endpoints))
+    for end, path in walks:
+        frontier = {start[end]}
+        for r in path:
+            pred = adj.pred.get(r, {})
+            frontier = {p for v in frontier for p in pred.get(v, ())}
+        reached |= frontier
     return sorted((heads[v] for v in reached if v in heads), key=lambda i: i.index)
 
 
@@ -344,7 +318,6 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     rule = _RULES[kind]
     checks = tuple(dict.fromkeys((rule.el, rule.ql)))  # el once when ql is el
     formulas = [parse(check.text, arena) for check in checks]
-    depth = max(diamond_depth(arena, fid) for fid in formulas)
     walks = _back_walks(arena, formulas, _HEAD[0][0])
 
     instances = [
@@ -381,10 +354,7 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
             adj.add(u, rel, w)
             bad = any(
                 check.tails(adj, inst.roles["head"]) != want
-                for inst in _affected_heads(
-                    adj, (u, w), heads, depth,
-                    None if walks is None else walks.get(rel, ()),
-                )
+                for inst in _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
                 for check, want in zip(checks, inst.expected)
             )
             if bad:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from kglogic import FormulaArena, diamond_depth, parse
-from kglogic.synthgen import _RULES, _Adjacency, _affected_heads, _Instance
+from kglogic import FormulaArena, parse
+from kglogic.synthgen import _RULES, _Adjacency, _affected_heads, _back_walks, _Instance
 
 RELATIONS = ("R1", "R2", "R3", "R4", "R5")
 CHECKS = list(dict.fromkeys(c for rule in _RULES.values() for c in (rule.el, rule.ql)))
@@ -16,7 +16,7 @@ def test_every_changed_head_is_affected(check):
     """On random graphs over R1..R5, every entity a head, a new edge changes
     check.tails only at heads that _affected_heads returns."""
     arena = FormulaArena()
-    depth = diamond_depth(arena, parse(check.text, arena))
+    walks = _back_walks(arena, [parse(check.text, arena)], "h")
     rng = random.Random(7)
     cases = changed = 0
     for _ in range(400):
@@ -32,7 +32,7 @@ def test_every_changed_head_is_affected(check):
             if w in adj.out(rel, u):
                 continue
             adj.add(u, rel, w)
-            affected = _affected_heads(adj, (u, w), heads, depth)
+            affected = _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
             affected_names = {inst.roles["head"] for inst in affected}
             for v in names:
                 cases += 1
@@ -40,5 +40,4 @@ def test_every_changed_head_is_affected(check):
                     changed += 1
                     assert v in affected_names, (check.text, (u, rel, w), v)
             adj.remove(u, rel, w)
-    # with one hop less, every check misses some changed head here
     assert cases > 20000 and changed > 100

@@ -58,3 +58,27 @@ def test_gen_split_not_fractions(tmp_path, capsys, split):
         ["gen", "--relation", "C", "--split", split, "--out", str(tmp_path / "c")]
     )
     _assert_one_line_error(capsys, code, allowed=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--labeling", "none", "--era-g1", "@x"], ["--labeling", "el", "--degree", "-3"]],
+    ids=["era-constant", "el-negative-degree"],
+)
+def test_invalid_run_fails_without_test_queries(tmp_path, capsys, flags):
+    """An invalid run exits 2 with the same one-line message whether or not
+    the test split holds a query."""
+    errors = []
+    for split in ("0.4,0.2,0.4", "0.5,0.5,0"):
+        data = tmp_path / split
+        assert main(
+            ["gen", "--relation", "C", "--instances", "3", "--split", split,
+             "--out", str(data)]
+        ) == 0
+        capsys.readouterr()
+        code = main(["run", "--data", str(data), *flags])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1, (split, err)
+        errors.append(err)
+    assert (data / "targets_test.tsv").read_text() == ""
+    assert errors[0] == errors[1]
