@@ -62,13 +62,11 @@ def _entity_props(
     ]
 
 
-def _in_edges(store: TripleStore) -> list[list[tuple[str, int]]]:
-    edges: list[list[tuple[str, int]]] = [[] for _ in range(store.n_entities)]
-    names = store.relation_names
-    for (rid, tail), heads in store.in_index.items():
-        name = names[rid]
-        for h in heads:
-            edges[tail].append((name, h))
+def _in_edges(store: TripleStore) -> list[list[tuple[int, int]]]:
+    """Each entity's incoming edges as (head, relation id) pairs, unordered."""
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(store.n_entities)]
+    for h, rid, t in store.triples:
+        edges[t].append((h, rid))
     return edges
 
 
@@ -85,9 +83,11 @@ def color_refine(
     Initial colors come from each entity's predicates plus any constants the
     labeling binds to it (uniform when both are absent).  Each step recolors
     an entity by its previous color together with the multiset of
-    (neighbor color, relation) pairs over its incoming edges.  Dense ids are
-    assigned in first-seen order over the fixed entity ordering, so repeated
-    runs produce identical maps.
+    (neighbor color, relation) pairs over its incoming edges, each pair
+    packed into the one int `color * n_relations + relation id`.  Packing is
+    a bijection, so it yields the same classes as the pairs would.  Dense ids
+    are assigned in first-seen order over the fixed entity ordering, so
+    repeated runs produce identical maps.
 
     Two shortcuts leave the result unchanged.  A round is a function of the
     previous one alone, so once a round repeats the one before it, every
@@ -101,6 +101,7 @@ def color_refine(
     bindings = resolve_bindings(init)
     props = _entity_props(store, bindings)
     in_edges = _in_edges(store)
+    n_rel = store.n_relations
 
     colors = _dense(list(props))
     history = [colors]
@@ -115,7 +116,7 @@ def color_refine(
         signatures = [
             (c,)
             if size[c] == 1
-            else (c, tuple(sorted((prev[u], rel) for rel, u in in_edges[v])))
+            else (c, tuple(sorted(prev[u] * n_rel + r for u, r in in_edges[v])))
             for v, c in enumerate(prev)
         ]
         history.append(_dense(signatures))
@@ -137,13 +138,17 @@ def unravel(
     bindings = resolve_bindings(labeling)
     props = _entity_props(store, bindings)
     in_edges = _in_edges(store)
+    names = store.relation_names
 
     def build(entity: int, remaining: int) -> UnravelNode:
         children: tuple[tuple[str, UnravelNode], ...] = ()
         if remaining > 0:
+            # by relation name, then head: ids need not sort like names
             children = tuple(
                 (rel, build(head, remaining - 1))
-                for rel, head in sorted(in_edges[entity])
+                for rel, head in sorted(
+                    (names[rid], head) for head, rid in in_edges[entity]
+                )
             )
         return UnravelNode(entity, props[entity], children)
 

@@ -175,9 +175,11 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
     colors = color_refine(store, lab, rounds=args.rounds)
     lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
     names = store.entity_names
-    for rnd, row in enumerate(colors.rounds):
-        for name, color in zip(names, row):
-            lines.append(f"{rnd}\t{name}\t{color}")
+    # one join per round; an empty store has no rows, not empty ones
+    for rnd, row in enumerate(colors.rounds if names else ()):
+        lines.append(
+            f"{rnd}\t" + f"\n{rnd}\t".join(map("\t".join, zip(names, map(str, row))))
+        )
     _write_output("\n".join(lines) + "\n", args.out, "bisim.tsv")
     return 0
 
@@ -190,7 +192,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         cells = []
         for mode in ("era", "ql", "el"):
             report = run_dataset(dataset, mode, args.degree, label=str(datadir))
-            cells.append(repr(report.hit_at(1)))
+            # no test query: no hit rate, which 0.0 would misstate
+            cells.append(repr(report.hit_at(1)) if report.queries else "n/a")
         lines.append(dataset.config["relation"] + "\t" + "\t".join(cells))
     _write_output("\n".join(lines) + "\n", args.out, "report.txt")
     return 0

@@ -1,11 +1,13 @@
 """Knowledge-graph triple store: interning, adjacency indices, TSV ingestion.
 
 Entities and relations are interned to dense integer ids in first-seen order.
-The store is immutable after construction and safe to share between workers.
+Construction only interns and dedupes; each adjacency index is built on its
+first read and cached, so a command builds only the indices it reads.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,9 +21,12 @@ class TripleStore:
     """A deduplicated set of (head, relation, tail) triples plus unary facts.
 
     `in_index` maps (relation id, tail id) to the sorted head ids pointing at
-    the tail; `neighbors` and the bisimulation refinement read this incoming
-    direction.  `out_degree[v]` counts outgoing triples of `v` over the
-    original (non-inverse) relations only.
+    the tail; only `neighbors` reads it.  `_succ` maps relation and head ids
+    to the sorted tail ids; the engine, the checker and EL labeling read it
+    through `successors`.  `out_degree[v]`, which EL labeling reads, counts
+    outgoing triples of `v` over the original (non-inverse) relations only.
+    Each is built in one pass over `triples` on its first read; colour
+    refinement reads `triples` directly.
     """
 
     def __init__(
@@ -64,19 +69,37 @@ class TripleStore:
                 )
             self.preds.setdefault(pred, set()).add(eid)
 
-        self.in_index: dict[tuple[int, int], list[int]] = {}
-        self._succ: dict[int, dict[int, list[int]]] = {}
-        out_counts = [0] * len(self._entity_names)
-        for h, r, t in sorted(self.triples):
-            self.in_index.setdefault((r, t), []).append(h)
-            self._succ.setdefault(r, {}).setdefault(h, []).append(t)
-            out_counts[h] += 1
-        if _out_degree is None:
-            self.out_degree = {v: out_counts[v] for v in range(len(out_counts))}
-        else:
+        if _out_degree is not None:
+            # set, not cached: counting would include the inverse edges
             self.out_degree = {
                 v: _out_degree.get(v, 0) for v in range(len(self._entity_names))
             }
+
+    @cached_property
+    def in_index(self) -> dict[tuple[int, int], list[int]]:
+        index: dict[tuple[int, int], list[int]] = {}
+        for h, r, t in self.triples:
+            index.setdefault((r, t), []).append(h)
+        for heads in index.values():
+            heads.sort()
+        return index
+
+    @cached_property
+    def _succ(self) -> dict[int, dict[int, list[int]]]:
+        index: dict[int, dict[int, list[int]]] = {}
+        for h, r, t in self.triples:
+            index.setdefault(r, {}).setdefault(h, []).append(t)
+        for by_head in index.values():
+            for tails in by_head.values():
+                tails.sort()
+        return index
+
+    @cached_property
+    def out_degree(self) -> dict[int, int]:
+        counts = [0] * len(self._entity_names)
+        for h, _r, _t in self.triples:
+            counts[h] += 1
+        return dict(enumerate(counts))
 
     @property
     def n_entities(self) -> int:

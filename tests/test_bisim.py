@@ -80,6 +80,17 @@ def test_unravel_single_edge():
     assert child.children == ()
 
 
+def test_unravel_children_sorted_by_relation_name():
+    # R2 is interned first, so relation ids sort opposite to names
+    store = load_store("b\tR2\ta\nc\tR1\ta")
+    assert store.relation_id("R2") < store.relation_id("R1")
+    tree = unravel(store, store.entity_id("a"), 1)
+    assert [(rel, child.entity) for rel, child in tree.children] == [
+        ("R1", store.entity_id("c")),
+        ("R2", store.entity_id("b")),
+    ]
+
+
 def test_unravel_depth_bound():
     store = load_store("a\tR1\ta")  # self-loop unrolls
     tree = unravel(store, 0, 4)

@@ -138,3 +138,35 @@ def test_bisim_labeling_none(tmp_path, capsys):
     assert main(["bisim", "--kg", str(kg), "--rounds", "2"]) == 0
     out = capsys.readouterr().out
     assert "0\ta\t0" in out
+
+
+def test_bisim_empty_kg_prints_header_only(tmp_path, capsys):
+    kg = tmp_path / "empty.tsv"
+    kg.write_text("")
+    argv = ["bisim", "--kg", str(kg), "--labeling", "none", "--rounds", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    assert all(line.startswith("# ") for line in out[:-1].split("\n"))
+
+
+def test_report_empty_test_split_prints_na(tmp_path, capsys):
+    empty, full = tmp_path / "empty", tmp_path / "full"
+    assert main(
+        ["gen", "--relation", "C", "--instances", "2", "--split", "1,0,0",
+         "--out", str(empty)]
+    ) == 0
+    assert main(
+        ["gen", "--relation", "C", "--instances", "5", "--seed", "1",
+         "--out", str(full)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["report", "--data", str(empty), str(full)]) == 0
+    rows = [
+        line.split("\t")
+        for line in capsys.readouterr().out.split("\n")
+        if line.startswith("C\t")
+    ]
+    # a missing hit rate is not a zero one; a non-empty split keeps its numbers
+    assert rows[0] == ["C", "n/a", "n/a", "n/a"]
+    assert all(cell != "n/a" and 0.0 <= float(cell) <= 1.0 for cell in rows[1][1:])

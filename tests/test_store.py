@@ -105,10 +105,8 @@ def test_out_degree_counts_outgoing():
     assert store.out_degree[store.entity_id("c")] == 0
 
 
-def test_in_index_mirrors_triples():
-    rng = random.Random(7)
-    for _ in range(25):
-        store = random_store(rng, max_entities=15)
+def _check_index(store: TripleStore, index: str, degrees: dict) -> None:
+    if index == "in_index":
         rebuilt = {}
         for h, r, t in sorted(store.triples):
             rebuilt.setdefault((r, t), []).append(h)
@@ -117,6 +115,42 @@ def test_in_index_mirrors_triples():
             assert heads == sorted(heads)
             for h in heads:
                 assert (h, r, t) in store.triples
+    elif index == "successors":
+        for r in range(store.n_relations):
+            for h in range(store.n_entities):
+                tails = sorted(t for h2, r2, t in store.triples if (h2, r2) == (h, r))
+                assert store.successors(r, h) == tails
+    else:
+        assert store.out_degree == degrees
+
+
+def test_in_index_mirrors_triples():
+    # each lazily built index, on a fresh store and after another was read
+    indices = ("in_index", "successors", "out_degree")
+    rng = random.Random(7)
+    for _ in range(25):
+        raw = random_store(rng, max_entities=15)
+        named = [
+            (raw.entity_name(h), raw.relation_name(r), raw.entity_name(t))
+            for h, r, t in raw.triples
+        ]
+        counts = {v: 0 for v in range(raw.n_entities)}
+        for h, _r, _t in raw.triples:
+            counts[h] += 1
+        fresh = {
+            "plain": lambda: TripleStore(
+                named, entity_order=raw.entity_names,
+                relation_order=raw.relation_names,
+            ),
+            # an augmented store counts the original relations only
+            "augmented": lambda: augment_inverses(raw),
+        }
+        for make in fresh.values():
+            for first in indices:
+                store = make()
+                _check_index(store, first, counts)
+                for index in indices:
+                    _check_index(store, index, counts)
 
 
 def _canonical(store: TripleStore):
