@@ -136,19 +136,28 @@ def unravel(
         raise EvaluationError(f"depth must be >= 0, got {depth}")
     store.check_entity(v)
     bindings = resolve_bindings(labeling)
-    props = _entity_props(store, bindings)
-    in_edges = _in_edges(store)
+    consts = sorted(bindings)
+    for name in consts:
+        store.check_entity(bindings[name])
+    preds = sorted(store.preds)
     names = store.relation_names
+    # by relation name, then head (in_index keeps heads sorted): ids need not
+    # sort like names
+    rids = sorted(range(store.n_relations), key=names.__getitem__)
+    props: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
     def build(entity: int, remaining: int) -> UnravelNode:
+        if entity not in props:  # only the entities the tree visits
+            props[entity] = (
+                tuple(p for p in preds if entity in store.preds[p]),
+                tuple(name for name in consts if bindings[name] == entity),
+            )
         children: tuple[tuple[str, UnravelNode], ...] = ()
         if remaining > 0:
-            # by relation name, then head: ids need not sort like names
             children = tuple(
-                (rel, build(head, remaining - 1))
-                for rel, head in sorted(
-                    (names[rid], head) for head, rid in in_edges[entity]
-                )
+                (names[rid], build(head, remaining - 1))
+                for rid in rids
+                for head in store.in_index.get((rid, entity), ())
             )
         return UnravelNode(entity, props[entity], children)
 

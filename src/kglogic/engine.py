@@ -6,9 +6,11 @@ once: each column maps an entity to a lane mask, a Python int whose bit i is
 set when the column holds at that entity in lane i (entities with a zero mask
 are left out).  `forward_lanes` runs a batch of lanes; `init_features`,
 `forward` and `forward_rounds` are its one-lane view over set-valued
-`FeatureMatrix` columns.  Rounds are synchronous with double buffering, and
-they stop at the fixpoint: once a round's columns equal the previous round's,
-every later round would equal them too, so the rest are not computed.  Set
+`FeatureMatrix` columns.  Rounds are synchronous with double buffering and
+semi-naive: after round 1, a column is recomputed only when one of its input
+rows changed in the previous round, and any other column keeps its dict.
+Rounds stop at the fixpoint: once no column changes, every later round would
+repeat the last one, so the rest are not computed.  Set
 the CML_KG_DEBUG=1 environment variable (or pass debug=True) to validate the
 binary-closure invariant after initialization and after every round computed.
 """
@@ -231,8 +233,9 @@ def _run(
     record: bool,
 ) -> tuple[list[Lanes], list[list[Lanes]]]:
     """net.layers synchronous rounds over `lanes` lanes; the final columns and,
-    with `record`, every round's columns (round 0 first).  Rounds stop at the
-    first one that repeats its input, which every later round would repeat."""
+    with `record`, every round's columns (round 0 first).  A round recomputes
+    only the columns with an input row that the round before changed, and the
+    rounds stop at the first one that changes no column."""
     if len(cols) != net.dim:
         raise EvaluationError(
             f"feature width {len(cols)} does not match network dim {net.dim}"
@@ -269,15 +272,20 @@ def _run(
         else:
             steps.append(lambda c, p=plan, b=b: _weighted(store, p, b, c, full, n))
     history = [cols] if record else []
+    inputs = [{row for _, row, _ in wires} for wires in net.inputs]
+    stale = [True] * net.dim  # round 1 computes every column
 
     for _ in range(net.layers):
-        # every round builds fresh dicts or passes an input through unchanged,
-        # and no dict is mutated after its round, so snapshots can share them
-        nxt = [step(cols) for step in steps]
+        # a column whose input rows did not change last round would rebuild
+        # the same dict, so it keeps it; no dict is mutated after its round,
+        # so snapshots can share them
+        nxt = [step(cols) if s else c for step, s, c in zip(steps, stale, cols)]
         if dbg:
             _assert_closure(nxt, n, lanes)
-        if nxt == cols:
+        changed = {c for c, (a, b) in enumerate(zip(nxt, cols)) if a is not b and a != b}
+        if not changed:
             break
+        stale = [not changed.isdisjoint(ins) for ins in inputs]
         cols = nxt
         if record:
             history.append(cols)

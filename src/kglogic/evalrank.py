@@ -205,6 +205,7 @@ def _sparse_metrics(
     known_true: set[int],
     n: int,
     k_list: Sequence[int],
+    rr_memo: Optional[dict[tuple[int, int], float]] = None,
 ) -> dict:
     """rank_metrics(_dense(positives, n), target, known_true, k_list), from
     the sets alone: O(|known_true|) plus the reciprocal-rank sum.
@@ -218,19 +219,31 @@ def _sparse_metrics(
     unfiltered = len(positives) - hidden  # |positives - K|
     n_candidates = n - filtered
     if target in positives:
-        return _metrics(0, unfiltered, n_candidates, k_list)
-    return _metrics(unfiltered, n_candidates - unfiltered, n_candidates, k_list)
+        return _metrics(0, unfiltered, n_candidates, k_list, rr_memo)
+    return _metrics(
+        unfiltered, n_candidates - unfiltered, n_candidates, k_list, rr_memo
+    )
 
 
-def _metrics(better: int, tied: int, n_candidates: int, k_list: Sequence[int]) -> dict:
+def _metrics(
+    better: int,
+    tied: int,
+    n_candidates: int,
+    k_list: Sequence[int],
+    rr_memo: Optional[dict[tuple[int, int], float]] = None,
+) -> dict:
     """The metrics of a target tied with `tied` candidates (itself included)
     below `better` others: it lands on positions better+1..better+tied
-    uniformly."""
+    uniformly.  The reciprocal rank is summed only for a pair that `rr_memo`
+    does not hold yet, and kept there."""
     rank = better + (tied + 1) / 2
     hits = {}
     for k in k_list:
         hits[k] = 0.0 if better >= k else min(k - better, tied) / tied
-    rr = sum(1.0 / (better + i) for i in range(1, tied + 1)) / tied
+    memo = {} if rr_memo is None else rr_memo
+    if (better, tied) not in memo:
+        memo[better, tied] = sum(1.0 / (better + i) for i in range(1, tied + 1)) / tied
+    rr = memo[better, tied]
     return {
         "rank": rank,
         "hits": hits,
@@ -309,10 +322,14 @@ def evaluate_queries(
         )
     else:
         all_positives = score_queries(store, arena, formula, labeling_mode, d, queries)
+    # era queries on one side of g1 share one (better, tied) pair, and its
+    # O(tied) reciprocal-rank sum is done once per call
+    rr_memo: dict[tuple[int, int], float] = {}
     for (h, r, t), positives in zip(test_targets, all_positives):
         known_true = known.get((h, r), set())
         entry = _sparse_metrics(
-            positives, store.entity_id(t), known_true, store.n_entities, k_list
+            positives, store.entity_id(t), known_true, store.n_entities, k_list,
+            rr_memo,
         )
         entry.update({"h": h, "rel": r, "t": t})
         report.queries.append(entry)

@@ -21,12 +21,12 @@ class TripleStore:
     """A deduplicated set of (head, relation, tail) triples plus unary facts.
 
     `in_index` maps (relation id, tail id) to the sorted head ids pointing at
-    the tail; only `neighbors` reads it.  `_succ` maps relation and head ids
-    to the sorted tail ids; the engine, the checker and EL labeling read it
-    through `successors`.  `out_degree[v]`, which EL labeling reads, counts
-    outgoing triples of `v` over the original (non-inverse) relations only.
-    Each is built in one pass over `triples` on its first read; colour
-    refinement reads `triples` directly.
+    the tail; `neighbors` and `bisim.unravel` read it.  `_succ` maps relation
+    and head ids to the sorted tail ids; the engine, the checker and EL
+    labeling read it through `successors`.  `out_degree[v]`, which EL
+    labeling reads, counts outgoing triples of `v` over the original
+    (non-inverse) relations only.  Each is built in one pass over `triples`
+    on its first read; colour refinement reads `triples` directly.
     """
 
     def __init__(
