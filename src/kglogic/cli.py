@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Every output starts with
 echoed `# key=value` lines so identical invocations are byte-identical and
-self-describing.
+self-describing.  A command computes its whole result before it writes the
+first byte, so a failing command leaves no output file.  Output is written
+as a sequence of text chunks: `bisim`, the largest, writes one round at a
+time and never builds its whole text.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .bisim import color_refine
 from .compiler import compile_formula, explain, net_to_text
@@ -41,13 +44,19 @@ def _echo_header(args: argparse.Namespace, skip: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, out: Optional[str], filename: str) -> None:
+def _write_output(chunks: Iterable[str], out: Optional[str], filename: str) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        outdir = Path(out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / filename).write_text(text)
+        path = Path(out) / filename
+        path.parent.mkdir(parents=True, exist_ok=True)
+        f = open(path, "w")
+        try:
+            with f:
+                f.writelines(chunks)
+        except BaseException:
+            path.unlink()  # a write that fails part way leaves no partial file
+            raise
 
 
 def _load_kg(args: argparse.Namespace) -> TripleStore:
@@ -134,7 +143,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
     for v in range(store.n_entities):
         lines.append(f"{store.entity_name(v)}\t{1 if v in row else 0}")
-    _write_output("\n".join(lines) + "\n", args.out, "check.tsv")
+    _write_output(["\n".join(lines) + "\n"], args.out, "check.tsv")
     return 0
 
 
@@ -150,7 +159,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             label=str(args.data),
         )
         text = _echo_header(args, skip=("out",)) + report.to_text()
-        _write_output(text, args.out, "report.txt")
+        _write_output([text], args.out, "report.txt")
         return 0
     if args.formula is None:
         raise KGLogicError("run --kg needs --formula")
@@ -164,7 +173,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
     for v in range(store.n_entities):
         lines.append(f"{store.entity_name(v)}\t{bits[v]}")
-    _write_output("\n".join(lines) + "\n", args.out, "run.tsv")
+    _write_output(["\n".join(lines) + "\n"], args.out, "run.tsv")
     return 0
 
 
@@ -173,15 +182,26 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
     bindings = _parse_bind(store, args.bind)
     lab = _labeling_for(args, store, bindings)
     colors = color_refine(store, lab, rounds=args.rounds)
-    lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
-    names = store.entity_names
-    # one join per round; an empty store has no rows, not empty ones
-    for rnd, row in enumerate(colors.rounds if names else ()):
-        lines.append(
-            f"{rnd}\t" + f"\n{rnd}\t".join(map("\t".join, zip(names, map(str, row))))
-        )
-    _write_output("\n".join(lines) + "\n", args.out, "bisim.tsv")
+    header = _echo_header(args, skip=("out",))
+    _write_output(_bisim_chunks(header, store.entity_names, colors.rounds),
+                  args.out, "bisim.tsv")
     return 0
+
+
+def _bisim_chunks(
+    header: str, names: list[str], rounds: list[list[int]]
+) -> Iterator[str]:
+    """The header, then one chunk of `round<TAB>entity<TAB>colour` lines per
+    round; rounds equal to the one before (all after the stable round) reuse
+    its `entity<TAB>colour` cells."""
+    yield header
+    cells, last = [], None
+    # an empty store has no rows, not empty ones
+    for rnd, row in enumerate(rounds if names else ()):
+        if row != last:
+            cells = list(map("\t".join, zip(names, map(str, row))))
+            last = row
+        yield f"{rnd}\t" + f"\n{rnd}\t".join(cells) + "\n"
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -195,7 +215,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             # no test query: no hit rate, which 0.0 would misstate
             cells.append(repr(report.hit_at(1)) if report.queries else "n/a")
         lines.append(dataset.config["relation"] + "\t" + "\t".join(cells))
-    _write_output("\n".join(lines) + "\n", args.out, "report.txt")
+    _write_output(["\n".join(lines) + "\n"], args.out, "report.txt")
     return 0
 
 
@@ -271,7 +291,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (KGLogicError, OSError) as exc:
+    # UnicodeEncodeError: output text the stream's or file's encoding lacks
+    except (KGLogicError, OSError, UnicodeEncodeError) as exc:
         sys.stderr.write(f"kglogic {args.command}: error: {exc}\n")
         return 2
 

@@ -12,7 +12,7 @@ entity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import EvaluationError
 from .formulas import (
@@ -23,6 +23,8 @@ from .formulas import (
     Not,
     Pred,
     Top,
+    enumerate_subformulas,
+    format_formula,
     format_subformulas,
 )
 
@@ -42,6 +44,9 @@ class CompiledNet:
     dim-vector and out_index is the root subformula's column.  atoms records
     how each atomic column is initialized: ("top", None), ("pred", name), or
     ("const", name).  comb and agg are dense read-only views of the wires.
+    column_formulas holds each column's subformula text: a compiled net
+    prints it from the arena on each read, and a net read back from text
+    keeps the parsed texts.
     """
 
     dim: int
@@ -50,7 +55,7 @@ class CompiledNet:
     out_index: int
     atoms: dict[int, tuple[str, Optional[str]]]
     layers: int
-    column_formulas: list[str] = field(default_factory=list)
+    column_formulas: Sequence[str] = field(default_factory=list)
     column_cases: list[int] = field(default_factory=list)
 
     def _matrix(self, relation: Optional[str]) -> list[list[int]]:
@@ -73,10 +78,30 @@ class CompiledNet:
         return {rel: self._matrix(rel) for rel in rels if rel is not None}
 
 
+class _ColumnTexts(Sequence[str]):
+    """Column texts printed from the arena on each read, so that a compiled
+    net stores no text and its memory stays linear in the formula's depth.
+    Iterating prints every column at once, joining each text from its
+    children's."""
+
+    def __init__(self, arena: FormulaArena, order: list[int]):
+        self._arena = arena
+        self._order = order
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, col: int) -> str:
+        return format_formula(self._arena, self._order[col])
+
+    def __iter__(self) -> Iterator[str]:
+        # the root is the last column
+        yield from format_subformulas(self._arena, self._order[-1]).values()
+
+
 def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
     """Build the network for `root`; a pure function of the hash-consed arena."""
-    text = format_subformulas(arena, root)
-    order = list(text)
+    order = enumerate_subformulas(arena, root)
     dim = len(order)
     col_of = {fid: i for i, fid in enumerate(order)}
     inputs: list[list[Wire]] = []
@@ -120,7 +145,7 @@ def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
         out_index=dim - 1,
         atoms=atoms,
         layers=dim,
-        column_formulas=list(text.values()),
+        column_formulas=_ColumnTexts(arena, order),
         column_cases=column_cases,
     )
 
@@ -128,6 +153,7 @@ def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
 def explain(net: CompiledNet) -> str:
     """Human-readable per-column wiring report."""
     lines = []
+    formulas = list(net.column_formulas) or [""] * net.dim
     for col, wires in enumerate(net.inputs):
         entries = [
             f"comb[{row},{col}]={weight}" if rel is None
@@ -140,9 +166,8 @@ def explain(net: CompiledNet) -> str:
         if atom is not None:
             kind, name = atom
             entries.append(f"atom={kind}" + (f":{name}" if name else ""))
-        formula = net.column_formulas[col] if net.column_formulas else ""
         lines.append(
-            f"col {col}: Case {net.column_cases[col]}; {formula}; "
+            f"col {col}: Case {net.column_cases[col]}; {formulas[col]}; "
             + ", ".join(entries)
         )
     return "\n".join(lines) + "\n"

@@ -251,28 +251,46 @@ def parse(text: str, arena: FormulaArena) -> int:
     return _Parser(text, arena).parse()
 
 
+def _layout(node: Node) -> tuple:
+    """A node's text, left to right, as literal pieces and child ids."""
+    if isinstance(node, Top):
+        return ("top",)
+    if isinstance(node, Pred):
+        return (f"P({node.name})",)
+    if isinstance(node, Const):
+        return (f"@{node.name}",)
+    if isinstance(node, Not):
+        return ("!", node.sub)
+    if isinstance(node, And):
+        return ("(", node.left, " & ", node.right, ")")
+    return (f"<{node.relation}>={node.count} ", node.sub)
+
+
 def format_formula(arena: FormulaArena, fid: int) -> str:
-    """Deterministic printer; `parse(format_formula(a, f), a) == f`."""
-    return format_subformulas(arena, fid)[fid]
+    """Deterministic printer; `parse(format_formula(a, f), a) == f`.
+
+    An explicit stack of node ids and literal pieces emits the root's text
+    alone, so memory is linear in the text, whatever the nesting depth.
+    """
+    pieces: list[str] = []
+    stack: list = [fid]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+        else:
+            stack.extend(reversed(_layout(arena.node(item))))
+    return "".join(pieces)
 
 
 def format_subformulas(arena: FormulaArena, root: int) -> dict[int, str]:
-    """Text of every subformula of `root`, keyed by id in topological order."""
+    """Text of every subformula of `root`, keyed by id in topological order;
+    each text is joined from its children's, in time linear in the texts."""
     text: dict[int, str] = {}
     for fid in enumerate_subformulas(arena, root):
-        node = arena.node(fid)
-        if isinstance(node, Top):
-            text[fid] = "top"
-        elif isinstance(node, Pred):
-            text[fid] = f"P({node.name})"
-        elif isinstance(node, Const):
-            text[fid] = f"@{node.name}"
-        elif isinstance(node, Not):
-            text[fid] = "!" + text[node.sub]
-        elif isinstance(node, And):
-            text[fid] = f"({text[node.left]} & {text[node.right]})"
-        else:
-            text[fid] = f"<{node.relation}>={node.count} " + text[node.sub]
+        text[fid] = "".join(
+            p if isinstance(p, str) else text[p] for p in _layout(arena.node(fid))
+        )
     return text
 
 

@@ -1,15 +1,17 @@
 """Knowledge-graph triple store: interning, adjacency indices, TSV ingestion.
 
 Entities and relations are interned to dense integer ids in first-seen order.
-Construction only interns and dedupes; each adjacency index is built on its
-first read and cached, so a command builds only the indices it reads.
+TSV rows are streamed: each is interned as it is parsed, so no list of rows
+is built.  Construction only interns and dedupes; each adjacency index is
+built on its first read and cached, so a command builds only the indices it
+reads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import EvaluationError, TripleFileError
 
@@ -27,6 +29,10 @@ class TripleStore:
     labeling reads, counts outgoing triples of `v` over the original
     (non-inverse) relations only.  Each is built in one pass over `triples`
     on its first read; colour refinement reads `triples` directly.
+
+    `triples` may be a one-pass iterator.  `preds` is read in full, after
+    `triples`, before any of its entities is looked up, so a malformed
+    predicate row is reported ahead of an unknown entity on an earlier one.
     """
 
     def __init__(
@@ -61,7 +67,7 @@ class TripleStore:
             add((h, r, t))
 
         self.preds: dict[str, set[int]] = {}
-        for pred, entity in preds:
+        for pred, entity in list(preds):
             eid = self._entity_ids.get(entity)
             if eid is None:
                 raise TripleFileError(
@@ -184,9 +190,9 @@ def read_text(path) -> str:
         ) from None
 
 
-def parse_tsv(text: str, n_fields: int, what: str) -> list[tuple[str, ...]]:
-    """Rows of exactly `n_fields` tab-separated fields; `what` names the input."""
-    rows = []
+def parse_tsv(text: str, n_fields: int, what: str) -> Iterator[list[str]]:
+    """Rows of exactly `n_fields` tab-separated fields, each yielded as soon as
+    it is checked; `what` names the input.  Blank lines are skipped."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
@@ -196,13 +202,13 @@ def parse_tsv(text: str, n_fields: int, what: str) -> list[tuple[str, ...]]:
                 f"{what} line {lineno}: expected {n_fields} tab-separated fields, "
                 f"got {len(fields)}"
             )
-        rows.append(tuple(fields))
-    return rows
+        yield fields
 
 
 def load_store(triples_text: str, preds_text: Optional[str] = None) -> TripleStore:
     """Build a store from TSV text: `head<TAB>relation<TAB>tail` per line.
 
+    The rows are streamed into the store as they are parsed, triples first.
     Duplicate triple lines collapse to one triple.  Predicate lines are
     `predicate<TAB>entity` and must reference entities present in the triples.
     """

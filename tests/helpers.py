@@ -113,8 +113,10 @@ def random_instance(rng: random.Random, max_entities: int = 30, max_depth: int =
         constants=constants,
         max_depth=max_depth,
     )
+    # in name order: set order follows the hash seed, and so would the draws
     binding = {
-        name: rng.randrange(store.n_entities) for name in constants_in(arena, fid)
+        name: rng.randrange(store.n_entities)
+        for name in sorted(constants_in(arena, fid))
     }
     return store, arena, fid, binding
 
