@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -44,8 +45,17 @@ def _echo_header(args: argparse.Namespace, skip: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(chunks: Iterable[str], out: Optional[str], filename: str) -> None:
+def _write_output(
+    chunks: Iterable[str], out: Optional[str], filename: str,
+    free_text: Iterable[str] = (),
+) -> None:
     if out is None:
+        # printed chunks cannot be taken back, so the free text in them (the
+        # header and entity names) must fit the stream's encoding up front
+        if getattr(sys.stdout, "encoding", None):
+            errors = getattr(sys.stdout, "errors", None) or "strict"
+            for text in free_text:
+                text.encode(sys.stdout.encoding, errors)
         sys.stdout.writelines(chunks)
     else:
         path = Path(out) / filename
@@ -184,7 +194,7 @@ def _cmd_bisim(args: argparse.Namespace) -> int:
     colors = color_refine(store, lab, rounds=args.rounds)
     header = _echo_header(args, skip=("out",))
     _write_output(_bisim_chunks(header, store.entity_names, colors.rounds),
-                  args.out, "bisim.tsv")
+                  args.out, "bisim.tsv", chain([header], store.entity_names))
     return 0
 
 

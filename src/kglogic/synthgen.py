@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .checker import model_check
 from .errors import EvaluationError, KGLogicError, TripleFileError
@@ -87,27 +87,38 @@ class SynthDataset:
 
 
 class _Adjacency:
-    """Mutable name-keyed adjacency used only during noise rejection."""
+    """Name-keyed adjacency used only during noise rejection.
+
+    succ[R][v] and pred[R][v] list v's R-successors and R-predecessors in
+    the order their edges were added, with set semantics: add skips an edge
+    already present and remove of an absent edge does nothing.  It is noise
+    rejection's one edge set, and lists keep it small: most groups hold one
+    name, and a one-element list takes 88 bytes where a set takes 216.
+    """
 
     def __init__(self):
-        self.succ: dict[str, dict[str, set[str]]] = {}
-        self.pred: dict[str, dict[str, set[str]]] = {}
+        self.succ: dict[str, dict[str, list[str]]] = {}
+        self.pred: dict[str, dict[str, list[str]]] = {}
 
     def add(self, h: str, r: str, t: str) -> None:
-        self.succ.setdefault(r, {}).setdefault(h, set()).add(t)
-        self.pred.setdefault(r, {}).setdefault(t, set()).add(h)
+        ts = self.succ.setdefault(r, {}).setdefault(h, [])
+        if t not in ts:
+            ts.append(t)
+            self.pred.setdefault(r, {}).setdefault(t, []).append(h)
 
     def remove(self, h: str, r: str, t: str) -> None:
-        self.succ[r][h].discard(t)
-        self.pred[r][t].discard(h)
+        ts = self.out(r, h)
+        if t in ts:
+            ts.remove(t)
+            self.pred[r][t].remove(h)
 
-    def out(self, r: str, v: str) -> set[str]:
-        return self.succ.get(r, {}).get(v, set())
+    def out(self, r: str, v: str) -> Sequence[str]:
+        return self.succ.get(r, {}).get(v, ())
 
     def outs(self, r: str, vs) -> set[str]:
         result: set[str] = set()
         for v in vs:
-            result |= self.out(r, v)
+            result.update(self.out(r, v))
         return result
 
     def in_count(self, r: str, v: str) -> int:
@@ -309,6 +320,54 @@ def _affected_heads(
     return sorted((heads[v] for v in reached if v in heads), key=lambda i: i.index)
 
 
+def _draw_noise(
+    rng: random.Random, kind: str, instances: list[_Instance], budget: int, checks,
+    walks: dict[str, tuple[_Walk, ...]],
+) -> list[tuple[str, str, str]]:
+    """`budget` noise triples over the instances' entities, each resampled
+    until it changes no instance head's tails under `checks`.
+
+    The adjacency holds exactly the support and the accepted noise, since a
+    rejected edge is removed again, so it is also the duplicate test.  It
+    and the head map live only in this call: the caller builds and verifies
+    the store after they are freed.
+    """
+    adj = _Adjacency()
+    heads = {inst.roles["head"]: inst for inst in instances}
+    pool: list[str] = []
+    for inst in instances:
+        pool.extend(inst.roles.values())
+        for h, r, t in inst.support:
+            adj.add(h, r, t)
+    if budget > 0 and not pool:
+        raise KGLogicError("cannot generate noise for an empty dataset")
+    relations = SUPPORT_RELATIONS[kind]
+    noise: list[tuple[str, str, str]] = []
+    for _ in range(budget):
+        for _attempt in range(_MAX_ATTEMPTS_PER_NOISE):
+            u = pool[rng.randrange(len(pool))]
+            rel = relations[rng.randrange(len(relations))]
+            w = pool[rng.randrange(len(pool))]
+            if w in adj.out(rel, u):
+                continue
+            adj.add(u, rel, w)
+            bad = any(
+                check.tails(adj, inst.roles["head"]) != want
+                for inst in _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
+                for check, want in zip(checks, inst.expected)
+            )
+            if bad:
+                adj.remove(u, rel, w)
+                continue
+            noise.append((u, rel, w))
+            break
+        else:
+            raise KGLogicError(
+                "noise rejection budget exhausted; use fewer noise triples"
+            )
+    return noise
+
+
 def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     """Generate a dataset per the config; byte-deterministic in the seed."""
     cfg.validate()
@@ -323,51 +382,14 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     instances = [
         _build_instance(kind, i, cfg.decoys, checks) for i in range(cfg.n_instances)
     ]
-    support: list[tuple[str, str, str]] = []
-    ground: list[tuple[int, str, str]] = []
-    adj = _Adjacency()
-    heads = {inst.roles["head"]: inst for inst in instances}
-    pool: list[str] = []
-    for inst in instances:
-        support.extend(inst.support)
-        ground.extend((inst.index, e, role) for role, e in inst.roles.items())
-        pool.extend(inst.roles.values())
-        for h, r, t in inst.support:
-            adj.add(h, r, t)
-
+    support = [triple for inst in instances for triple in inst.support]
+    ground = [
+        (inst.index, e, role) for inst in instances for role, e in inst.roles.items()
+    ]
     noise_budget = (
         cfg.noise_triples if cfg.noise_triples is not None else 2 * len(support)
     )
-    relations = SUPPORT_RELATIONS[kind]
-    existing = set(support)
-    noise: list[tuple[str, str, str]] = []
-    if noise_budget > 0 and not pool:
-        raise KGLogicError("cannot generate noise for an empty dataset")
-    for _ in range(noise_budget):
-        for _attempt in range(_MAX_ATTEMPTS_PER_NOISE):
-            u = pool[rng.randrange(len(pool))]
-            rel = relations[rng.randrange(len(relations))]
-            w = pool[rng.randrange(len(pool))]
-            triple = (u, rel, w)
-            if triple in existing:
-                continue
-            adj.add(u, rel, w)
-            bad = any(
-                check.tails(adj, inst.roles["head"]) != want
-                for inst in _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
-                for check, want in zip(checks, inst.expected)
-            )
-            if bad:
-                adj.remove(u, rel, w)
-                continue
-            existing.add(triple)
-            noise.append(triple)
-            break
-        else:
-            raise KGLogicError(
-                "noise rejection budget exhausted; use fewer noise triples"
-            )
-
+    noise = _draw_noise(rng, kind, instances, noise_budget, checks, walks)
     store = TripleStore(support + noise)
 
     order = list(range(cfg.n_instances))

@@ -162,6 +162,8 @@ def test_unencodable_output_is_a_data_error(tmp_path):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 2
+    # the header fits, but the names are checked before it is printed
+    assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("kglogic bisim: error: 'ascii' codec can't encode")

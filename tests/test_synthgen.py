@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from kglogic import (
@@ -11,6 +13,7 @@ from kglogic import (
     model_check,
     write_dataset,
 )
+from kglogic.cli import main
 from helpers import foc_u_tails
 
 
@@ -143,3 +146,48 @@ def test_roundtrip_through_files(tmp_path):
     assert loaded.ground == dataset.ground
     assert loaded.config["relation"] == "U"
     assert loaded.config["decoys"] == 1
+
+
+@pytest.mark.parametrize(
+    "cfg, argv, message",
+    [
+        (SynthConfig("C", 0, noise_triples=5),
+         ["--relation", "C", "--instances", "0", "--noise", "5"],
+         "cannot generate noise for an empty dataset"),
+        (SynthConfig("C", 1, noise_triples=45, seed=0),
+         ["--relation", "C", "--instances", "1", "--noise", "45", "--seed", "0"],
+         "noise rejection budget exhausted; use fewer noise triples"),
+    ],
+    ids=["empty", "exhausted"],
+)
+def test_noise_errors(tmp_path, capsys, cfg, argv, message):
+    """Both noise-loop errors, from the library and as one line and exit 2
+    from `kglogic gen`, which then creates no output directory."""
+    with pytest.raises(KGLogicError) as exc:
+        gen_dataset(cfg)
+    assert str(exc.value) == message
+    out = tmp_path / "out"
+    assert main(["gen", *argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"kglogic gen: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SynthConfig("U", 300, seed=1, decoys=True), SynthConfig("I", 300, seed=1),
+     SynthConfig("C", 300, seed=1)],
+    ids=["U-decoys", "I", "C"],
+)
+def test_gen_peak_stays_within_1_8x_what_it_keeps(cfg):
+    # noise rejection's set-valued adjacency and its copy of every edge as a
+    # name triple, alive until verification ended, put the peak at 2.4-2.7x
+    tracemalloc.start()
+    try:
+        dataset = gen_dataset(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.store.triples) == 3 * dataset.config["support_triples"]
+    assert peak <= 1.8 * kept, (peak, kept)
