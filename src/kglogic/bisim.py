@@ -7,7 +7,10 @@ apart by any counting-modal formula of matching depth over the same labels.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import add, itemgetter
 from typing import Hashable
 
 from .checker import BindingLike, resolve_bindings
@@ -45,34 +48,66 @@ class UnravelNode:
         return 1 + max(child.depth() for _, child in self.children)
 
 
+# the round-0 properties of every entity without predicates or constants
+NO_PROPS: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
+
+
 def _entity_props(
     store: TripleStore, bindings: dict[str, int]
-) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    preds_at: list[list[str]] = [[] for _ in range(store.n_entities)]
+) -> dict[int, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(predicates, bound constants), each name-sorted, of every entity that
+    has some; every other entity's are `NO_PROPS`."""
+    preds_at: dict[int, list[str]] = {}
     for pred in sorted(store.preds):
         for v in store.preds[pred]:
-            preds_at[v].append(pred)
-    consts_at: list[list[str]] = [[] for _ in range(store.n_entities)]
+            preds_at.setdefault(v, []).append(pred)
+    consts_at: dict[int, list[str]] = {}
     for name in sorted(bindings):
         v = bindings[name]
         store.check_entity(v)
-        consts_at[v].append(name)
+        consts_at.setdefault(v, []).append(name)
+    return {
+        v: (tuple(preds_at.get(v, ())), tuple(consts_at.get(v, ())))
+        for v in preds_at.keys() | consts_at.keys()
+    }
+
+
+def _in_edges(store: TripleStore) -> tuple[list[int], list[int], list[int]]:
+    """Every edge's head and its relation id times n_entities, both grouped by
+    tail, and the n_entities + 1 group offsets: entity v's in-edges are
+    positions `offsets[v]` up to `offsets[v + 1]`."""
+    n = store.n_entities
+    edges = sorted(store.triples, key=itemgetter(2))
+    rid_n = [rid * n for rid in range(store.n_relations)]  # shared int objects
+    tails = list(map(itemgetter(2), edges))
+    return (
+        list(map(itemgetter(0), edges)),
+        list(map(rid_n.__getitem__, map(itemgetter(1), edges))),
+        list(map(bisect_left, repeat(tails), range(n + 1))),
+    )
+
+
+def _signatures(
+    prev: list[int], heads: list[int], rels: list[int], offsets: list[int]
+) -> list[Hashable]:
+    """Each entity's signature for the round after `prev`: its color alone if
+    no other entity shares it, else its color and its sorted packed in-edges."""
+    size = [0] * len(prev)
+    for c in prev:
+        size[c] += 1
+    keys = list(map(add, map(prev.__getitem__, heads), rels))
     return [
-        (tuple(preds_at[v]), tuple(consts_at[v])) for v in range(store.n_entities)
+        c if size[c] == 1 else (c, *sorted(keys[lo:hi]))
+        for c, lo, hi in zip(prev, offsets, islice(offsets, 1, None))
     ]
 
 
-def _in_edges(store: TripleStore) -> list[list[tuple[int, int]]]:
-    """Each entity's incoming edges as (head, relation id) pairs, unordered."""
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(store.n_entities)]
-    for h, rid, t in store.triples:
-        edges[t].append((h, rid))
-    return edges
-
-
-def _dense(signatures: list[Hashable]) -> list[int]:
-    ids: dict[Hashable, int] = {}
-    return [ids.setdefault(sig, len(ids)) for sig in signatures]
+def _dense(signatures: list[Hashable], ids: list[int]) -> list[int]:
+    """Dense ids in first-seen order, taken from `ids`."""
+    first = dict.fromkeys(signatures)
+    for sig, i in zip(first, ids):
+        first[sig] = i
+    return list(map(first.__getitem__, signatures))
 
 
 def color_refine(
@@ -83,43 +118,41 @@ def color_refine(
     Initial colors come from each entity's predicates plus any constants the
     labeling binds to it (uniform when both are absent).  Each step recolors
     an entity by its previous color together with the multiset of
-    (neighbor color, relation) pairs over its incoming edges, each pair
-    packed into the one int `color * n_relations + relation id`.  Packing is
-    a bijection, so it yields the same classes as the pairs would.  Dense ids
+    (neighbor color, relation) pairs over its incoming edges.  Dense ids
     are assigned in first-seen order over the fixed entity ordering, so
     repeated runs produce identical maps.
+
+    Memory per entity and per edge is kept small.  Round 0 builds property
+    tuples only for the entities that have predicates or constants; all
+    others share `NO_PROPS`.  The in-edges are flat lists grouped by tail
+    (see `_in_edges`), not per-entity lists of pairs.  Each round packs
+    every in-edge into the one int `color of head + relation id *
+    n_entities`, a bijection because colors are below n_entities, so an
+    entity's signature, its previous color followed by its sorted packed
+    in-edges in one flat tuple, separates the same classes as the pairs
+    would.  Every round takes its ids from one `range(n_entities)` list, so
+    all rounds share those int objects.
 
     Two shortcuts leave the result unchanged.  A round is a function of the
     previous one alone, so once a round repeats the one before it, every
     later round is a copy of it.  An entity alone in its class keeps a unique
-    signature whatever its in-edges are, so it takes the signature of its
-    previous color alone; refinement only splits classes, so the classes and
-    their first-seen order, hence the dense ids, stay the same.
+    signature whatever its in-edges are, so its signature is its previous
+    color alone, a bare int, which equals no tuple signature; refinement
+    only splits classes, so the classes and their first-seen order, hence
+    the dense ids, stay the same.
     """
     if rounds < 0:
         raise EvaluationError(f"rounds must be >= 0, got {rounds}")
-    bindings = resolve_bindings(init)
-    props = _entity_props(store, bindings)
+    props = _entity_props(store, resolve_bindings(init))
+    ids = list(range(store.n_entities))
+    history = [_dense(list(map(props.get, ids, repeat(NO_PROPS))), ids)]
     in_edges = _in_edges(store)
-    n_rel = store.n_relations
-
-    colors = _dense(list(props))
-    history = [colors]
     for _ in range(rounds):
         prev = history[-1]
         if len(history) > 1 and prev == history[-2]:
             history.append(list(prev))
-            continue
-        size = [0] * len(prev)
-        for c in prev:
-            size[c] += 1
-        signatures = [
-            (c,)
-            if size[c] == 1
-            else (c, tuple(sorted(prev[u] * n_rel + r for u, r in in_edges[v])))
-            for v, c in enumerate(prev)
-        ]
-        history.append(_dense(signatures))
+        else:
+            history.append(_dense(_signatures(prev, *in_edges), ids))
     return ColorMap(history)
 
 
@@ -135,23 +168,13 @@ def unravel(
     if depth < 0:
         raise EvaluationError(f"depth must be >= 0, got {depth}")
     store.check_entity(v)
-    bindings = resolve_bindings(labeling)
-    consts = sorted(bindings)
-    for name in consts:
-        store.check_entity(bindings[name])
-    preds = sorted(store.preds)
+    props = _entity_props(store, resolve_bindings(labeling))
     names = store.relation_names
     # by relation name, then head (in_index keeps heads sorted): ids need not
     # sort like names
     rids = sorted(range(store.n_relations), key=names.__getitem__)
-    props: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
     def build(entity: int, remaining: int) -> UnravelNode:
-        if entity not in props:  # only the entities the tree visits
-            props[entity] = (
-                tuple(p for p in preds if entity in store.preds[p]),
-                tuple(name for name in consts if bindings[name] == entity),
-            )
         children: tuple[tuple[str, UnravelNode], ...] = ()
         if remaining > 0:
             children = tuple(
@@ -159,7 +182,7 @@ def unravel(
                 for rid in rids
                 for head in store.in_index.get((rid, entity), ())
             )
-        return UnravelNode(entity, props[entity], children)
+        return UnravelNode(entity, props.get(entity, NO_PROPS), children)
 
     return build(v, depth)
 

@@ -83,6 +83,8 @@ def _parse_bind(store: TripleStore, text: Optional[str]) -> dict[str, int]:
         name, sep, entity = piece.partition("=")
         if not sep or not name or not entity:
             raise KGLogicError(f"malformed binding {piece!r}, expected name=entity")
+        if name in bindings:
+            raise KGLogicError(f"constant {name!r} is bound more than once")
         bindings[name] = store.entity_id(entity)
     return bindings
 

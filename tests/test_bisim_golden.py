@@ -81,3 +81,47 @@ def test_color_refine_equals_full_signature_reference():
             row.count(c) == 1 for row in expected[:stable] for c in row
         )
     assert late_stable > 50 and isolated > 200 and singletons > 250
+
+
+def test_color_refine_small_stores_many_relations():
+    """At most 6 entities and up to 12 relations, so a packed in-edge's
+    `relation id * n_entities` exceeds every color id; with predicates and
+    isolated entities.  Every round equals the reference, and every round is
+    its own list, stable ones too."""
+    rng = random.Random(14)
+    packed_past_colors = with_preds = isolated = 0
+    for case in range(300):
+        store = random_store(
+            rng, max_entities=6, max_relations=12, edge_factor=rng.choice((0.5, 2.0))
+        )
+        init = {}
+        if rng.random() < 0.5:
+            init["h"] = rng.randrange(store.n_entities)
+        rounds = store.n_entities + rng.randint(1, 4)
+        cm = color_refine(store, init, rounds=rounds)
+        assert cm.rounds == _reference(store, init, rounds), case
+        for r in range(rounds):
+            assert cm.rounds[r] is not cm.rounds[r + 1], (case, r)
+        packed_past_colors += any(r > 0 for _, r, _ in store.triples)
+        with_preds += bool(store.preds)
+        touched = {v for h, _, t in store.triples for v in (h, t)}
+        isolated += len(touched) < store.n_entities
+    assert packed_past_colors > 150 and with_preds > 150 and isolated > 100
+
+
+def test_color_refine_empty_store():
+    cm = color_refine(TripleStore([]), rounds=3)
+    assert cm.rounds == [[], [], [], []]
+    assert len({id(row) for row in cm.rounds}) == 4
+
+
+def test_packed_in_edges_keep_relations_apart():
+    # A's in-edge comes from color 2 over R1 and B's from color 0 over R2:
+    # packed with any multiplier below n_entities = 4, such as 2, they collide
+    store = TripleStore(
+        [("d", "R1", "a"), ("a", "R2", "b")], [("P1", "c"), ("P2", "d")],
+        entity_order=["a", "b", "c", "d"], relation_order=["R1", "R2"],
+    )
+    cm = color_refine(store, rounds=1)
+    assert cm.colors(0) == [0, 0, 1, 2]
+    assert cm.colors(1)[0] != cm.colors(1)[1]

@@ -82,3 +82,17 @@ def test_invalid_run_fails_without_test_queries(tmp_path, capsys, flags):
         errors.append(err)
     assert (data / "targets_test.tsv").read_text() == ""
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("command", ["check", "run", "bisim"])
+@pytest.mark.parametrize("bind", ["h=a,h=b", "h=a,c=b,h=a"])
+def test_constant_bound_twice_is_data_error(tmp_path, capsys, command, bind):
+    kg = tmp_path / "k.tsv"
+    kg.write_text("a\tR1\tb\n")
+    formula = tmp_path / "f.txt"
+    formula.write_text("<R1>=1 @h\n")
+    extra = ["--rounds", "1"] if command == "bisim" else ["--formula", str(formula)]
+    code = main([command, "--kg", str(kg), "--bind", bind, *extra])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"kglogic {command}: error: constant 'h' is bound more than once\n"
