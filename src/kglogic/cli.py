@@ -69,6 +69,14 @@ def _write_output(
             raise
 
 
+def _write_bits(args: argparse.Namespace, store: TripleStore, bits: list[int]) -> None:
+    """The header, then one `entity<TAB>bit` line per entity in id order, to
+    stdout or to `<command>.tsv` in the --out directory."""
+    lines = [_echo_header(args, skip=("out",))]
+    lines += [f"{name}\t{bit}\n" for name, bit in zip(store.entity_names, bits)]
+    _write_output(["".join(lines)], args.out, f"{args.command}.tsv")
+
+
 def _load_kg(args: argparse.Namespace) -> TripleStore:
     triples_text = read_text(args.kg)
     preds_text = read_text(args.preds) if args.preds else None
@@ -151,11 +159,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     root = parse(read_text(args.formula).strip(), arena)
     bindings = _parse_bind(store, args.bind)
     table = model_check(store, arena, root, bindings)
-    row = table.row_set(root)
-    lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
-    for v in range(store.n_entities):
-        lines.append(f"{store.entity_name(v)}\t{1 if v in row else 0}")
-    _write_output(["\n".join(lines) + "\n"], args.out, "check.tsv")
+    _write_bits(args, store, table.row_bits(root))
     return 0
 
 
@@ -182,10 +186,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     lab = _labeling_for(args, store, bindings)
     net = compile_formula(arena, root)
     bits = readout(forward(store, net, init_features(store, net, lab)), net)
-    lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
-    for v in range(store.n_entities):
-        lines.append(f"{store.entity_name(v)}\t{bits[v]}")
-    _write_output(["\n".join(lines) + "\n"], args.out, "run.tsv")
+    _write_bits(args, store, bits)
     return 0
 
 

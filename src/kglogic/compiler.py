@@ -225,8 +225,15 @@ def _num(lineno: int, value: str, bound: Optional[int] = None) -> int:
     return i
 
 
+def _put(table: dict, key, value, lineno: int) -> None:
+    """table[key] = value, unless an earlier line set the same entry."""
+    if key in table:
+        raise EvaluationError(f"line {lineno}: repeats an earlier line's entry")
+    table[key] = value
+
+
 def net_from_text(text: str) -> CompiledNet:
-    """Inverse of net_to_text; a malformed line raises with its line number."""
+    """Inverse of net_to_text; a malformed or repeated line raises with its number."""
     header: dict[str, tuple[int, str]] = {}
     sections: dict[str, list[tuple[int, list[str]]]] = {k: [] for k in _FIELD_COUNTS}
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -242,7 +249,7 @@ def net_from_text(text: str) -> CompiledNet:
                 f"got {len(fields) + 1}"
             )
         if want == 2:
-            header[key] = (lineno, fields[0])
+            _put(header, key, (lineno, fields[0]), lineno)
         else:
             sections[key].append((lineno, fields))
     for key in ("dim", "layers", "out_index", "bias"):
@@ -254,14 +261,25 @@ def net_from_text(text: str) -> CompiledNet:
     bias = [_num(lineno, b) for b in text_bias.split(" ")] if text_bias else []
     if len(bias) != dim:
         raise EvaluationError("bias length does not match dim")
+    layers = _num(*header["layers"])
+    if layers < 0:
+        raise EvaluationError(f"line {header['layers'][0]}: negative layers {layers}")
 
     weights: list[dict[tuple[Optional[str], int], int]] = [{} for _ in range(dim)]
     wire_lines = [(ln, None, *f) for ln, f in sections["comb"]]
     wire_lines += [(ln, *f) for ln, f in sections["agg"]]
     for ln, rel, row, col, weight in wire_lines:
-        weights[_num(ln, col, dim)][(rel, _num(ln, row, dim))] = _num(ln, weight)
-    formulas = {_num(ln, f[0], dim): f[1] for ln, f in sections["formula"]}
-    cases = {_num(ln, f[0], dim): _num(ln, f[1]) for ln, f in sections["case"]}
+        wire = (rel, _num(ln, row, dim))
+        _put(weights[_num(ln, col, dim)], wire, _num(ln, weight), ln)
+    atoms: dict[int, tuple[str, Optional[str]]] = {}
+    formulas: dict[int, str] = {}
+    cases: dict[int, int] = {}
+    for ln, f in sections["atom"]:
+        _put(atoms, _num(ln, f[0], dim), (f[1], f[2] if len(f) > 2 else None), ln)
+    for ln, f in sections["formula"]:
+        _put(formulas, _num(ln, f[0], dim), f[1], ln)
+    for ln, f in sections["case"]:
+        _put(cases, _num(ln, f[0], dim), _num(ln, f[1]), ln)
     inputs = [
         sorted(
             ((rel, row, w) for (rel, row), w in col.items() if w),
@@ -274,11 +292,8 @@ def net_from_text(text: str) -> CompiledNet:
         inputs=inputs,
         bias=bias,
         out_index=_num(*header["out_index"], dim),
-        atoms={
-            _num(ln, f[0], dim): (f[1], f[2] if len(f) > 2 else None)
-            for ln, f in sections["atom"]
-        },
-        layers=_num(*header["layers"]),
+        atoms=atoms,
+        layers=layers,
         column_formulas=[formulas.get(i, "") for i in range(dim)],
         column_cases=[cases.get(i, 0) for i in range(dim)],
     )

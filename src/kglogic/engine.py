@@ -151,37 +151,28 @@ def _at_least(store: TripleStore, rid: int, a: Lanes, count: int, full: int) -> 
             for t in store.successors(rid, u):
                 out[t] = out.get(t, 0) | m
         return out
-    # saturating bit-sliced counters: planes[j] is bit j of each lane's count
+    # bit-sliced counters: planes[j] is bit j of each lane's counter.  It
+    # starts at 2**width - count, so a lane carries out of the top plane when
+    # its count-th input arrives; planes[width] collects those lanes
     width = count.bit_length()
+    start = (1 << width) - count
+    init = [full if start >> j & 1 else 0 for j in range(width)] + [0]
     planes_of: dict[int, list[int]] = {}
     for u, m in a.items():
         for t in store.successors(rid, u):
             planes = planes_of.get(t)
             if planes is None:
-                planes_of[t] = [m] + [0] * (width - 1)
-                continue
+                planes = planes_of[t] = init.copy()
             carry = m
-            for j, p in enumerate(planes):
+            for j in range(width):
+                p = planes[j]
                 planes[j] = p ^ carry
                 carry &= p
                 if not carry:
                     break
-            else:  # overflowing lanes stay at 2**width - 1 >= count
-                for j in range(width):
-                    planes[j] |= carry
-    out = {}
-    for t, planes in planes_of.items():
-        # compare with count from the top plane down
-        above, equal = 0, full
-        for j in reversed(range(width)):
-            if count >> j & 1:
-                equal &= planes[j]
             else:
-                above |= equal & planes[j]
-                equal &= ~planes[j]
-        if above | equal:
-            out[t] = above | equal
-    return out
+                planes[width] |= carry
+    return {t: planes[width] for t, planes in planes_of.items() if planes[width]}
 
 
 def _weighted(

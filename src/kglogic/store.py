@@ -41,7 +41,6 @@ class TripleStore:
         preds: Iterable[tuple[str, str]] = (),
         entity_order: Optional[Sequence[str]] = None,
         relation_order: Optional[Sequence[str]] = None,
-        _out_degree: Optional[dict[int, int]] = None,
     ):
         # dense ids in first-seen order, the given orders first; interning is
         # inline because this loop runs for every triple of every load
@@ -74,12 +73,6 @@ class TripleStore:
                     f"predicate {pred!r} references unknown entity {entity!r}"
                 )
             self.preds.setdefault(pred, set()).add(eid)
-
-        if _out_degree is not None:
-            # set, not cached: counting would include the inverse edges
-            self.out_degree = {
-                v: _out_degree.get(v, 0) for v in range(len(self._entity_names))
-            }
 
     @cached_property
     def in_index(self) -> dict[tuple[int, int], list[int]]:
@@ -248,10 +241,7 @@ def augment_inverses(store: TripleStore) -> TripleStore:
         for pred in sorted(store.preds)
         for eid in sorted(store.preds[pred])
     ]
-    return TripleStore(
-        triples,
-        preds,
-        entity_order=entity_names,
-        relation_order=relation_names,
-        _out_degree=store.out_degree,
-    )
+    aug = TripleStore(triples, preds, entity_names, relation_names)
+    # set, not counted: counting would include the inverse edges
+    aug.out_degree = dict(store.out_degree)
+    return aug

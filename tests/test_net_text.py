@@ -133,3 +133,37 @@ def test_tab_or_newline_in_name_rejected(text, position):
     with pytest.raises(FormulaSyntaxError) as info:
         parse(text, FormulaArena())
     assert info.value.position == position
+
+
+@pytest.mark.parametrize("value", ["-1", "-3"])
+def test_negative_layers_names_line(value):
+    text = CHAIN_NET.replace("layers\t2", f"layers\t{value}")
+    with pytest.raises(EvaluationError, match="line 2:.*negative layers"):
+        net_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "line, repeat",
+    [
+        ("dim\t2", "dim\t2"),
+        ("layers\t2", "layers\t3"),
+        ("out_index\t1", "out_index\t0"),
+        ("bias\t0 0", "bias\t0 1"),
+        ("atom\t0\tconst\th", "atom\t0\ttop"),
+        ("case\t1\t3", "case\t1\t2"),
+        ("formula\t1\t<R1>=1 @h", "formula\t1\t@h"),
+        ("comb\t0\t0\t1", "comb\t0\t0\t-1"),
+        ("comb\t0\t0\t1", "comb\t00\t0\t1"),
+        ("agg\tR1\t0\t1\t1", "agg\tR1\t0\t1\t0"),
+    ],
+)
+def test_repeated_line_names_line(line, repeat):
+    text = CHAIN_NET.replace(line, f"{line}\n{repeat}")
+    lineno = text.split("\n").index(line) + 2
+    with pytest.raises(EvaluationError, match=f"line {lineno}: repeats"):
+        net_from_text(text)
+
+
+def test_same_cell_of_another_relation_is_no_repeat():
+    text = CHAIN_NET + "agg\tR2\t0\t1\t1\n"
+    assert net_from_text(text).inputs[1] == [("R1", 0, 1), ("R2", 0, 1)]
