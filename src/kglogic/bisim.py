@@ -7,10 +7,9 @@ apart by any counting-modal formula of matching depth over the same labels.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Hashable
 
 from .checker import BindingLike, resolve_bindings
@@ -72,21 +71,6 @@ def _entity_props(
     }
 
 
-def _in_edges(store: TripleStore) -> tuple[list[int], list[int], list[int]]:
-    """Every edge's head and its relation id times n_entities, both grouped by
-    tail, and the n_entities + 1 group offsets: entity v's in-edges are
-    positions `offsets[v]` up to `offsets[v + 1]`."""
-    n = store.n_entities
-    edges = sorted(store.triples, key=itemgetter(2))
-    rid_n = [rid * n for rid in range(store.n_relations)]  # shared int objects
-    tails = list(map(itemgetter(2), edges))
-    return (
-        list(map(itemgetter(0), edges)),
-        list(map(rid_n.__getitem__, map(itemgetter(1), edges))),
-        list(map(bisect_left, repeat(tails), range(n + 1))),
-    )
-
-
 def _signatures(
     prev: list[int], heads: list[int], rels: list[int], offsets: list[int]
 ) -> list[Hashable]:
@@ -124,8 +108,9 @@ def color_refine(
 
     Memory per entity and per edge is kept small.  Round 0 builds property
     tuples only for the entities that have predicates or constants; all
-    others share `NO_PROPS`.  The in-edges are flat lists grouped by tail
-    (see `_in_edges`), not per-entity lists of pairs.  Each round packs
+    others share `NO_PROPS`.  The in-edges are the store's flat lists
+    grouped by tail (`TripleStore.in_edges`, derived once per store from its
+    successor lists), not per-entity lists of pairs.  Each round packs
     every in-edge into the one int `color of head + relation id *
     n_entities`, a bijection because colors are below n_entities, so an
     entity's signature, its previous color followed by its sorted packed
@@ -146,7 +131,7 @@ def color_refine(
     props = _entity_props(store, resolve_bindings(init))
     ids = list(range(store.n_entities))
     history = [_dense(list(map(props.get, ids, repeat(NO_PROPS))), ids)]
-    in_edges = _in_edges(store)
+    in_edges = store.in_edges
     for _ in range(rounds):
         prev = history[-1]
         if len(history) > 1 and prev == history[-2]:

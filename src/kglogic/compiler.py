@@ -256,11 +256,16 @@ def net_from_text(text: str) -> CompiledNet:
         if key not in header:
             raise EvaluationError(f"missing {key!r} header")
 
-    dim = _num(*header["dim"])
+    dim_line, text_dim = header["dim"]
+    dim = _num(dim_line, text_dim)
+    if dim < 0:
+        raise EvaluationError(f"line {dim_line}: dim {dim} out of range, must be >= 0")
     lineno, text_bias = header["bias"]
     bias = [_num(lineno, b) for b in text_bias.split(" ")] if text_bias else []
     if len(bias) != dim:
-        raise EvaluationError("bias length does not match dim")
+        raise EvaluationError(
+            f"line {lineno}: bias has {len(bias)} entries, expected dim {dim}"
+        )
     layers = _num(*header["layers"])
     if layers < 0:
         raise EvaluationError(f"line {header['layers'][0]}: negative layers {layers}")

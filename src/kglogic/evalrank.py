@@ -13,6 +13,8 @@ groundings as the lanes of engine passes of at most PASS_LANES lanes each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .checker import check_constant_free, era_combinator, model_check
@@ -225,6 +227,12 @@ def _sparse_metrics(
     )
 
 
+def _sum_left(values: Iterable[float]) -> float:
+    """The floats added left to right: from Python 3.12 on, `sum` compensates
+    float rounding, which changes the last digit of reported metrics."""
+    return reduce(add, values, 0.0)
+
+
 def _metrics(
     better: int,
     tied: int,
@@ -242,7 +250,8 @@ def _metrics(
         hits[k] = 0.0 if better >= k else min(k - better, tied) / tied
     memo = {} if rr_memo is None else rr_memo
     if (better, tied) not in memo:
-        memo[better, tied] = sum(1.0 / (better + i) for i in range(1, tied + 1)) / tied
+        total = _sum_left(1.0 / (better + i) for i in range(1, tied + 1))
+        memo[better, tied] = total / tied
     rr = memo[better, tied]
     return {
         "rank": rank,
@@ -268,12 +277,12 @@ class RankReport:
     def hit_at(self, k: int) -> float:
         if not self.queries:
             return 0.0
-        return sum(q["hits"][k] for q in self.queries) / len(self.queries)
+        return _sum_left(q["hits"][k] for q in self.queries) / len(self.queries)
 
     def mrr(self) -> float:
         if not self.queries:
             return 0.0
-        return sum(q["rr"] for q in self.queries) / len(self.queries)
+        return _sum_left(q["rr"] for q in self.queries) / len(self.queries)
 
     def to_text(self) -> str:
         lines = [f"# mode={self.mode} degree={self.degree} formula={self.formula_text}"]

@@ -1,15 +1,18 @@
 """Knowledge-graph triple store: interning, adjacency indices, TSV ingestion.
 
 Entities and relations are interned to dense integer ids in first-seen order.
-TSV rows are streamed: each is interned as it is parsed, so no list of rows
-is built.  Construction only interns and dedupes; each adjacency index is
-built on its first read and cached, so a command builds only the indices it
+TSV rows are streamed: each is interned as it is parsed and appended to the
+store's successor lists, its one stored adjacency, so no list of rows and no
+set of triples is built.  Every other adjacency view is derived from those
+lists on its first read and cached, so a command builds only the views it
 reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from functools import cached_property
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -19,16 +22,43 @@ from .errors import EvaluationError, TripleFileError
 INVERSE_SUFFIX = "⁻¹"
 
 
+class _TripleView(Set):
+    """A store's (head, relation id, tail) triples as a read-only set, read
+    from its successor lists on every access, so it holds no copy of them."""
+
+    def __init__(self, succ: dict[int, dict[int, list[int]]]):
+        self._succ = succ
+
+    def __len__(self) -> int:
+        return sum(sum(map(len, by_head.values())) for by_head in self._succ.values())
+
+    def __iter__(self) -> Iterator[tuple[int, int, int]]:
+        for r, by_head in self._succ.items():
+            for h, tails in by_head.items():
+                yield from zip(repeat(h), repeat(r), tails)
+
+    def __contains__(self, triple) -> bool:
+        h, r, t = triple
+        return t in self._succ.get(r, {}).get(h, ())
+
+    @classmethod
+    def _from_iterable(cls, it) -> set:
+        return set(it)  # what `|`, `&` and `-` return
+
+
 class TripleStore:
     """A deduplicated set of (head, relation, tail) triples plus unary facts.
 
-    `in_index` maps (relation id, tail id) to the sorted head ids pointing at
-    the tail; `neighbors` and `bisim.unravel` read it.  `_succ` maps relation
-    and head ids to the sorted tail ids; the engine, the checker and EL
-    labeling read it through `successors`.  `out_degree[v]`, which EL
-    labeling reads, counts outgoing triples of `v` over the original
-    (non-inverse) relations only.  Each is built in one pass over `triples`
-    on its first read; colour refinement reads `triples` directly.
+    The one stored adjacency is `_succ`: relation id -> head id -> the sorted,
+    distinct tail ids, filled as the rows stream in.  The engine, the checker
+    and EL labeling read it through `successors`; `triples` is a set view of
+    it.  Every other view is derived from it on its first read and cached:
+    `in_edges`, the in-edges grouped by tail that colour refinement packs;
+    `in_index`, built from `in_edges`, which maps (relation id, tail id) to
+    the sorted head ids pointing at the tail and which `neighbors` and
+    `bisim.unravel` read; and `out_degree[v]`, which EL labeling reads and
+    which counts outgoing triples of `v` over the original (non-inverse)
+    relations only.
 
     `triples` may be a one-pass iterator.  `preds` is read in full, after
     `triples`, before any of its entities is looked up, so a malformed
@@ -48,8 +78,7 @@ class TripleStore:
         entity_ids = self._entity_ids = {e: i for i, e in enumerate(entity_names)}
         relation_names = self._relation_names = list(dict.fromkeys(relation_order or ()))
         relation_ids = self._relation_ids = {r: i for i, r in enumerate(relation_names)}
-        self.triples: set[tuple[int, int, int]] = set()
-        add = self.triples.add
+        succ = self._succ = {r: {} for r in relation_ids.values()}
         for head, rel, tail in triples:
             h = entity_ids.get(head)
             if h is None:
@@ -59,11 +88,25 @@ class TripleStore:
             if r is None:
                 r = relation_ids[rel] = len(relation_names)
                 relation_names.append(rel)
+                succ[r] = {}
             t = entity_ids.get(tail)
             if t is None:
                 t = entity_ids[tail] = len(entity_names)
                 entity_names.append(tail)
-            add((h, r, t))
+            by_head = succ[r]
+            tails = by_head.get(h)
+            if tails is None:
+                by_head[h] = [t]
+            else:
+                tails.append(t)
+        # most groups hold one tail; only longer ones need sorting and dedup
+        for by_head in succ.values():
+            for tails in by_head.values():
+                if len(tails) > 1:
+                    tails.sort()
+                    if len(set(tails)) < len(tails):
+                        tails[:] = sorted(set(tails))
+        self.triples = _TripleView(succ)
 
         self.preds: dict[str, set[int]] = {}
         for pred, entity in list(preds):
@@ -75,29 +118,46 @@ class TripleStore:
             self.preds.setdefault(pred, set()).add(eid)
 
     @cached_property
-    def in_index(self) -> dict[tuple[int, int], list[int]]:
-        index: dict[tuple[int, int], list[int]] = {}
-        for h, r, t in self.triples:
-            index.setdefault((r, t), []).append(h)
-        for heads in index.values():
-            heads.sort()
-        return index
+    def in_edges(self) -> tuple[list[int], list[int], list[int]]:
+        """Every edge's head and its relation id times n_entities, both
+        grouped by tail, and the n_entities + 1 group offsets: entity v's
+        in-edges are positions `offsets[v]` up to `offsets[v + 1]`.  Within
+        a group, edges follow the successor lists' order."""
+        n = len(self._entity_names)
+        offsets = [0] * (n + 1)
+        for by_head in self._succ.values():
+            for tails in by_head.values():
+                for t in tails:
+                    offsets[t + 1] += 1
+        offsets = list(accumulate(offsets))
+        fill, heads, rels = offsets[:-1], [0] * offsets[-1], [0] * offsets[-1]
+        for r, by_head in self._succ.items():
+            rn = r * n  # one int object per relation, shared by its edges
+            for h, tails in by_head.items():
+                for t in tails:
+                    i = fill[t]
+                    fill[t] = i + 1
+                    heads[i], rels[i] = h, rn
+        return heads, rels, offsets
 
     @cached_property
-    def _succ(self) -> dict[int, dict[int, list[int]]]:
-        index: dict[int, dict[int, list[int]]] = {}
-        for h, r, t in self.triples:
-            index.setdefault(r, {}).setdefault(h, []).append(t)
-        for by_head in index.values():
-            for tails in by_head.values():
-                tails.sort()
+    def in_index(self) -> dict[tuple[int, int], list[int]]:
+        heads, rels, offsets = self.in_edges
+        n = len(self._entity_names)
+        index: dict[tuple[int, int], list[int]] = {}
+        for t in range(n):
+            for i in range(offsets[t], offsets[t + 1]):
+                index.setdefault((rels[i] // n, t), []).append(heads[i])
+        for group in index.values():
+            group.sort()
         return index
 
     @cached_property
     def out_degree(self) -> dict[int, int]:
         counts = [0] * len(self._entity_names)
-        for h, _r, _t in self.triples:
-            counts[h] += 1
+        for by_head in self._succ.values():
+            for h, tails in by_head.items():
+                counts[h] += len(tails)
         return dict(enumerate(counts))
 
     @property
@@ -217,31 +277,25 @@ def augment_inverses(store: TripleStore) -> TripleStore:
     over unchanged from the input store.  Re-augmenting an already augmented
     store is rejected because the inverse names would collide.
     """
-    existing = set(store.relation_names)
-    inverse_of: dict[int, str] = {}
-    for rid, name in enumerate(store.relation_names):
-        inv = name + INVERSE_SUFFIX
+    names = store.relation_names
+    existing = set(names)
+    inverses = [name + INVERSE_SUFFIX for name in names]
+    for inv in inverses:
         if inv in existing:
             raise TripleFileError(
                 f"relation name {inv!r} already exists; cannot augment"
             )
-        inverse_of[rid] = inv
 
-    entity_names = store.entity_names
-    relation_names = store.relation_names + [
-        inverse_of[rid] for rid in range(store.n_relations)
-    ]
-    triples: list[tuple[str, str, str]] = []
-    for h, r, t in sorted(store.triples):
-        triples.append((entity_names[h], store.relation_name(r), entity_names[t]))
-    for h, r, t in sorted(store.triples):
-        triples.append((entity_names[t], inverse_of[r], entity_names[h]))
+    # the given orders fix every id, so the rows need no order of their own
+    ent = store.entity_names
+    triples = [(ent[h], names[r], ent[t]) for h, r, t in store.triples]
+    triples += [(ent[t], inverses[r], ent[h]) for h, r, t in store.triples]
     preds = [
-        (pred, entity_names[eid])
+        (pred, ent[eid])
         for pred in sorted(store.preds)
         for eid in sorted(store.preds[pred])
     ]
-    aug = TripleStore(triples, preds, entity_names, relation_names)
+    aug = TripleStore(triples, preds, ent, names + inverses)
     # set, not counted: counting would include the inverse edges
     aug.out_degree = dict(store.out_degree)
     return aug

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -93,24 +94,28 @@ class _Adjacency:
     the order their edges were added, with set semantics: add skips an edge
     already present and remove of an absent edge does nothing.  It is noise
     rejection's one edge set, and lists keep it small: most groups hold one
-    name, and a one-element list takes 88 bytes where a set takes 216.
+    name, and a group starts as a one-slot list of 64 bytes, where an
+    appended-to empty list takes 88 and a set 216.  pred keeps groups only
+    for the relations in `pred_relations` (every relation when it is None).
     """
 
-    def __init__(self):
+    def __init__(self, pred_relations: Optional[set[str]] = None):
         self.succ: dict[str, dict[str, list[str]]] = {}
         self.pred: dict[str, dict[str, list[str]]] = {}
+        self._pred_relations = pred_relations
 
     def add(self, h: str, r: str, t: str) -> None:
-        ts = self.succ.setdefault(r, {}).setdefault(h, [])
-        if t not in ts:
-            ts.append(t)
-            self.pred.setdefault(r, {}).setdefault(t, []).append(h)
+        if t not in self.out(r, h):
+            _append(self.succ.setdefault(r, {}), h, t)
+            if self._pred_relations is None or r in self._pred_relations:
+                _append(self.pred.setdefault(r, {}), t, h)
 
     def remove(self, h: str, r: str, t: str) -> None:
         ts = self.out(r, h)
         if t in ts:
             ts.remove(t)
-            self.pred[r][t].remove(h)
+            if r in self.pred:  # add made the group if r keeps them
+                self.pred[r][t].remove(h)
 
     def out(self, r: str, v: str) -> Sequence[str]:
         return self.succ.get(r, {}).get(v, ())
@@ -123,6 +128,13 @@ class _Adjacency:
 
     def in_count(self, r: str, v: str) -> int:
         return len(self.pred.get(r, {}).get(v, ()))
+
+
+def _append(groups: dict[str, list[str]], key: str, value: str) -> None:
+    if key in groups:
+        groups[key].append(value)
+    else:
+        groups[key] = [value]
 
 
 # Fast tail evaluators: the tails a check's formula holds at from head h,
@@ -330,9 +342,13 @@ def _draw_noise(
     The adjacency holds exactly the support and the accepted noise, since a
     rejected edge is removed again, so it is also the duplicate test.  It
     and the head map live only in this call: the caller builds and verifies
-    the store after they are freed.
+    the store after they are freed.  Predecessor groups are kept only for
+    the relations a walk steps back along, and for those counted at a new
+    edge's target (keyed with a walk from "w"): no other group is read.
     """
-    adj = _Adjacency()
+    stepped = {r for ws in walks.values() for _end, path in ws for r in path}
+    counted = {rel for rel, ws in walks.items() if any(e == "w" for e, _ in ws)}
+    adj = _Adjacency(stepped | counted)
     heads = {inst.roles["head"]: inst for inst in instances}
     pool: list[str] = []
     for inst in instances:
@@ -383,14 +399,16 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
         _build_instance(kind, i, cfg.decoys, checks) for i in range(cfg.n_instances)
     ]
     support = [triple for inst in instances for triple in inst.support]
-    ground = [
-        (inst.index, e, role) for inst in instances for role, e in inst.roles.items()
-    ]
     noise_budget = (
         cfg.noise_triples if cfg.noise_triples is not None else 2 * len(support)
     )
-    noise = _draw_noise(rng, kind, instances, noise_budget, checks, walks)
-    store = TripleStore(support + noise)
+    # the noise list is freed once the store is built, ahead of verification
+    store = TripleStore(
+        chain(support, _draw_noise(rng, kind, instances, noise_budget, checks, walks))
+    )
+    ground = [
+        (inst.index, e, role) for inst in instances for role, e in inst.roles.items()
+    ]
 
     order = list(range(cfg.n_instances))
     rng.shuffle(order)

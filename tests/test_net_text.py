@@ -167,3 +167,17 @@ def test_repeated_line_names_line(line, repeat):
 def test_same_cell_of_another_relation_is_no_repeat():
     text = CHAIN_NET + "agg\tR2\t0\t1\t1\n"
     assert net_from_text(text).inputs[1] == [("R1", 0, 1), ("R2", 0, 1)]
+
+
+@pytest.mark.parametrize("bias", ["", "0", "0 0 0"])
+def test_bias_count_other_than_dim_names_line(bias):
+    text = CHAIN_NET.replace("bias\t0 0", f"bias\t{bias}")
+    with pytest.raises(EvaluationError, match="line 4: bias has .* expected dim 2"):
+        net_from_text(text)
+
+
+@pytest.mark.parametrize("bias", ["", "0 0"])
+def test_negative_dim_is_a_range_error(bias):
+    text = CHAIN_NET.replace("dim\t2", "dim\t-2").replace("bias\t0 0", f"bias\t{bias}")
+    with pytest.raises(EvaluationError, match="line 1: dim -2 out of range"):
+        net_from_text(text)

@@ -1,13 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 
 from kglogic import (
     INVERSE_SUFFIX,
     KGLogicError,
+    SynthConfig,
     TripleFileError,
     TripleStore,
     augment_inverses,
+    gen_dataset,
     load_store,
 )
 from helpers import random_store
@@ -30,6 +33,18 @@ def test_load_empty():
 def test_load_dedup():
     store = load_store("a\tR1\tb\na\tR1\tb")
     assert len(store.triples) == 1
+
+
+def test_triples_act_as_a_set():
+    store = load_store("a\tR1\tb\na\tR1\tc\nb\tR2\ta\na\tR1\tb")
+    a, b, c = (store.entity_id(e) for e in "abc")
+    r1, r2 = store.relation_id("R1"), store.relation_id("R2")
+    want = {(a, r1, b), (a, r1, c), (b, r2, a)}
+    assert store.triples == want and set(store.triples) == want
+    assert len(store.triples) == 3
+    assert (a, r1, c) in store.triples and (c, r1, a) not in store.triples
+    assert store.triples - {(a, r1, b)} == {(a, r1, c), (b, r2, a)}
+    assert store.triples | {(c, r2, c)} == want | {(c, r2, c)}
 
 
 def test_load_malformed_line_reports_lineno():
@@ -128,6 +143,7 @@ def test_in_index_mirrors_triples():
     # each lazily built index, on a fresh store and after another was read
     indices = ("in_index", "successors", "out_degree")
     rng = random.Random(7)
+    shuffler = random.Random(8)  # apart from rng, so the stores drawn stay the same
     for _ in range(25):
         raw = random_store(rng, max_entities=15)
         named = [
@@ -137,9 +153,16 @@ def test_in_index_mirrors_triples():
         counts = {v: 0 for v in range(raw.n_entities)}
         for h, _r, _t in raw.triples:
             counts[h] += 1
+        repeated = named * 3
+        shuffler.shuffle(repeated)
         fresh = {
             "plain": lambda: TripleStore(
                 named, entity_order=raw.entity_names,
+                relation_order=raw.relation_names,
+            ),
+            # every row three times, shuffled: each view is deduplicated
+            "repeated": lambda: TripleStore(
+                repeated, entity_order=raw.entity_names,
                 relation_order=raw.relation_names,
             ),
             # an augmented store counts the original relations only
@@ -192,3 +215,16 @@ def test_self_loops_and_parallel_relations_allowed():
     store = load_store("a\tR1\ta\na\tR2\ta")
     assert len(store.triples) == 2
     assert store.out_degree[store.entity_id("a")] == 2
+
+
+def test_store_keeps_at_most_160_bytes_per_triple():
+    # a set of id tuples with successor lists built from it kept 216
+    text = gen_dataset(SynthConfig("U", 2000, seed=1, decoys=True)).store.to_triples_text()
+    tracemalloc.start()
+    try:
+        store = load_store(text)
+        store.successors(0, 0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept / len(store.triples) <= 160, kept / len(store.triples)
