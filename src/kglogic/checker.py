@@ -130,21 +130,13 @@ def model_check(
             )
         elif isinstance(node, Diamond):
             rid = store.relation_id(node.relation)
-            sub_row = table.row_set(node.sub)
-            if node.count == 1:
-                row = set()
-                for u in sub_row:
-                    tails = store.successors(rid, u)
-                    counter.ops += len(tails) + 1
-                    row.update(tails)
-            else:
-                hits: dict[int, int] = {}
-                for u in sub_row:
-                    tails = store.successors(rid, u)
-                    counter.ops += len(tails) + 1
-                    for t in tails:
-                        hits[t] = hits.get(t, 0) + 1
-                row = {t for t, c in hits.items() if c >= node.count}
+            hits: dict[int, int] = {}
+            for u in table.row_set(node.sub):
+                tails = store.successors(rid, u)
+                counter.ops += len(tails) + 1
+                for t in tails:
+                    hits[t] = hits.get(t, 0) + 1
+            row = {t for t, c in hits.items() if c >= node.count}
         else:  # pragma: no cover - exhaustive over the AST
             raise EvaluationError(f"cannot evaluate node {node!r}")
         table.set_row(fid, row)

@@ -69,8 +69,6 @@ def _forward_ball(store: TripleStore, start: int, hops: int) -> set[int]:
                     if t not in reached:
                         reached.add(t)
                         nxt.add(t)
-        if not nxt:
-            break
         frontier = nxt
     return reached
 
@@ -95,8 +93,8 @@ def ground_constants(
         if name in lab.bindings
     }
     abstract = sorted(set(formula_constants) - set(bound))
-    candidates = lab.el_entities() if abstract else []
-    if abstract and within_depth_of is not None:
+    candidates = lab.el_entities()
+    if within_depth_of is not None:
         ball = _forward_ball(store, *within_depth_of)
         candidates = [v for v in candidates if v in ball]
     return _permute(bound, abstract, candidates)
@@ -130,10 +128,6 @@ def _permute(
     bound: dict[str, int], abstract: list[str], candidates: list[int]
 ) -> list[dict[str, int]]:
     """`bound` extended by every injective assignment of abstract constants."""
-    if not abstract:
-        return [dict(bound)]
-    if len(candidates) < len(abstract):
-        return []
     out = []
     for combo in permutations(candidates, len(abstract)):
         g = dict(bound)

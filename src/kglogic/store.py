@@ -24,7 +24,8 @@ INVERSE_SUFFIX = "⁻¹"
 
 class _TripleView(Set):
     """A store's (head, relation id, tail) triples as a read-only set, read
-    from its successor lists on every access, so it holds no copy of them."""
+    from its successor lists on every access, so it holds no copy of them.
+    Like a set of such triples, it holds nothing that is not a 3-tuple."""
 
     def __init__(self, succ: dict[int, dict[int, list[int]]]):
         self._succ = succ
@@ -38,6 +39,8 @@ class _TripleView(Set):
                 yield from zip(repeat(h), repeat(r), tails)
 
     def __contains__(self, triple) -> bool:
+        if not isinstance(triple, tuple) or len(triple) != 3:
+            return False
         h, r, t = triple
         return t in self._succ.get(r, {}).get(h, ())
 
@@ -49,16 +52,18 @@ class _TripleView(Set):
 class TripleStore:
     """A deduplicated set of (head, relation, tail) triples plus unary facts.
 
-    The one stored adjacency is `_succ`: relation id -> head id -> the sorted,
-    distinct tail ids, filled as the rows stream in.  The engine, the checker
-    and EL labeling read it through `successors`; `triples` is a set view of
-    it.  Every other view is derived from it on its first read and cached:
-    `in_edges`, the in-edges grouped by tail that colour refinement packs;
-    `in_index`, built from `in_edges`, which maps (relation id, tail id) to
-    the sorted head ids pointing at the tail and which `neighbors` and
-    `bisim.unravel` read; and `out_degree[v]`, which EL labeling reads and
-    which counts outgoing triples of `v` over the original (non-inverse)
-    relations only.
+    Ids are dense, in first-seen order after `entity_order` and
+    `relation_order` (a repeated name keeps its first place); the name lists
+    are read off the id maps once the rows are in.  The one stored adjacency
+    is `_succ`: relation id -> head id -> the sorted, distinct tail ids,
+    filled as the rows stream in.  The engine, the checker and EL labeling
+    read it through `successors`; `triples` is a set view of it.  Every other
+    view is derived from it on its first read and cached: `in_edges`, the
+    in-edges grouped by tail that only colour refinement reads; `in_index`,
+    which maps (relation id, tail id) to the sorted head ids pointing at the
+    tail and which `neighbors` and `bisim.unravel` read; and `out_degree[v]`,
+    which EL labeling reads and which counts outgoing triples of `v` over the
+    original (non-inverse) relations only.
 
     `triples` may be a one-pass iterator.  `preds` is read in full, after
     `triples`, before any of its entities is looked up, so a malformed
@@ -74,25 +79,24 @@ class TripleStore:
     ):
         # dense ids in first-seen order, the given orders first; interning is
         # inline because this loop runs for every triple of every load
-        entity_names = self._entity_names = list(dict.fromkeys(entity_order or ()))
-        entity_ids = self._entity_ids = {e: i for i, e in enumerate(entity_names)}
-        relation_names = self._relation_names = list(dict.fromkeys(relation_order or ()))
-        relation_ids = self._relation_ids = {r: i for i, r in enumerate(relation_names)}
+        entity_ids = self._entity_ids = {
+            e: i for i, e in enumerate(dict.fromkeys(entity_order or ()))
+        }
+        relation_ids = self._relation_ids = {
+            r: i for i, r in enumerate(dict.fromkeys(relation_order or ()))
+        }
         succ = self._succ = {r: {} for r in relation_ids.values()}
         for head, rel, tail in triples:
             h = entity_ids.get(head)
             if h is None:
-                h = entity_ids[head] = len(entity_names)
-                entity_names.append(head)
+                h = entity_ids[head] = len(entity_ids)
             r = relation_ids.get(rel)
             if r is None:
-                r = relation_ids[rel] = len(relation_names)
-                relation_names.append(rel)
+                r = relation_ids[rel] = len(relation_ids)
                 succ[r] = {}
             t = entity_ids.get(tail)
             if t is None:
-                t = entity_ids[tail] = len(entity_names)
-                entity_names.append(tail)
+                t = entity_ids[tail] = len(entity_ids)
             by_head = succ[r]
             tails = by_head.get(h)
             if tails is None:
@@ -107,6 +111,9 @@ class TripleStore:
                     if len(set(tails)) < len(tails):
                         tails[:] = sorted(set(tails))
         self.triples = _TripleView(succ)
+        # a dict keeps insertion order, which is id order
+        self._entity_names = list(entity_ids)
+        self._relation_names = list(relation_ids)
 
         self.preds: dict[str, set[int]] = {}
         for pred, entity in list(preds):
@@ -142,12 +149,11 @@ class TripleStore:
 
     @cached_property
     def in_index(self) -> dict[tuple[int, int], list[int]]:
-        heads, rels, offsets = self.in_edges
-        n = len(self._entity_names)
         index: dict[tuple[int, int], list[int]] = {}
-        for t in range(n):
-            for i in range(offsets[t], offsets[t + 1]):
-                index.setdefault((rels[i] // n, t), []).append(heads[i])
+        for r, by_head in self._succ.items():
+            for h, tails in by_head.items():
+                for t in tails:
+                    index.setdefault((r, t), []).append(h)
         for group in index.values():
             group.sort()
         return index

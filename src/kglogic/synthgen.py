@@ -92,11 +92,12 @@ class _Adjacency:
 
     succ[R][v] and pred[R][v] list v's R-successors and R-predecessors in
     the order their edges were added, with set semantics: add skips an edge
-    already present and remove of an absent edge does nothing.  It is noise
-    rejection's one edge set, and lists keep it small: most groups hold one
-    name, and a group starts as a one-slot list of 64 bytes, where an
-    appended-to empty list takes 88 and a set 216.  pred keeps groups only
-    for the relations in `pred_relations` (every relation when it is None).
+    already present and returns whether it added the edge, and remove of an
+    absent edge does nothing.  It is noise rejection's one edge set, and
+    lists keep it small: most groups hold one name, and a group starts as a
+    one-slot list of 64 bytes, where an appended-to empty list takes 88 and
+    a set 216.  pred keeps groups only for the relations in `pred_relations`
+    (every relation when it is None).
     """
 
     def __init__(self, pred_relations: Optional[set[str]] = None):
@@ -104,11 +105,13 @@ class _Adjacency:
         self.pred: dict[str, dict[str, list[str]]] = {}
         self._pred_relations = pred_relations
 
-    def add(self, h: str, r: str, t: str) -> None:
-        if t not in self.out(r, h):
-            _append(self.succ.setdefault(r, {}), h, t)
-            if self._pred_relations is None or r in self._pred_relations:
-                _append(self.pred.setdefault(r, {}), t, h)
+    def add(self, h: str, r: str, t: str) -> bool:
+        if t in self.out(r, h):
+            return False
+        _append(self.succ.setdefault(r, {}), h, t)
+        if self._pred_relations is None or r in self._pred_relations:
+            _append(self.pred.setdefault(r, {}), t, h)
+        return True
 
     def remove(self, h: str, r: str, t: str) -> None:
         ts = self.out(r, h)
@@ -320,7 +323,8 @@ def _affected_heads(
     walks: tuple[_Walk, ...],
 ) -> list[_Instance]:
     """The heads whose tails a new edge between `endpoints` can change: those
-    that `walks`, _back_walks' entry for the edge's relation, reach."""
+    that `walks`, _back_walks' entry for the edge's relation, reach, in no
+    particular order."""
     reached: set[str] = set()
     start = dict(zip("uw", endpoints))
     for end, path in walks:
@@ -329,7 +333,7 @@ def _affected_heads(
             pred = adj.pred.get(r, {})
             frontier = {p for v in frontier for p in pred.get(v, ())}
         reached |= frontier
-    return sorted((heads[v] for v in reached if v in heads), key=lambda i: i.index)
+    return [heads[v] for v in reached if v in heads]
 
 
 def _draw_noise(
@@ -364,9 +368,8 @@ def _draw_noise(
             u = pool[rng.randrange(len(pool))]
             rel = relations[rng.randrange(len(relations))]
             w = pool[rng.randrange(len(pool))]
-            if w in adj.out(rel, u):
+            if not adj.add(u, rel, w):
                 continue
-            adj.add(u, rel, w)
             bad = any(
                 check.tails(adj, inst.roles["head"]) != want
                 for inst in _affected_heads(adj, (u, w), heads, walks.get(rel, ()))

@@ -25,10 +25,11 @@ def _groups(adj):
 
 
 def test_duplicate_add_changes_nothing():
-    adj = _adjacency()
+    adj = _Adjacency()
+    assert [adj.add(*edge) for edge in EDGES] == [True] * len(EDGES)
     succ, pred = copy.deepcopy(adj.succ), copy.deepcopy(adj.pred)
     for edge in EDGES:
-        adj.add(*edge)
+        assert adj.add(*edge) is False
     assert adj.succ == succ and adj.pred == pred
     assert list(adj.out("R1", "a")) == ["b", "c"]
     assert adj.in_count("R1", "b") == 2

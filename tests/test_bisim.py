@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from kglogic import (
+    EvaluationError,
     FormulaArena,
     SynthConfig,
     TripleStore,
@@ -95,6 +98,13 @@ def test_unravel_depth_bound():
     store = load_store("a\tR1\ta")  # self-loop unrolls
     tree = unravel(store, 0, 4)
     assert tree.depth() == 4
+
+
+def test_unravel_negative_depth_rejected():
+    store = load_store("a\tR1\tb")
+    with pytest.raises(EvaluationError) as info:
+        unravel(store, 0, -1)
+    assert str(info.value) == "depth must be >= 0, got -1"
 
 
 def test_trees_isomorphic_basic():

@@ -222,3 +222,22 @@ def test_monotone_growth_under_added_triples():
         before = model_check(store, arena, fid).row_set(fid)
         after = model_check(bigger, arena, fid).row_set(fid)
         assert before <= after
+
+
+def test_unsupported_binding_object_rejected():
+    store = load_store("x\tR1\ty")
+    arena = FormulaArena()
+    fid = parse("@h", arena)
+    with pytest.raises(EvaluationError) as info:
+        model_check(store, arena, fid, [("h", 0)])
+    assert str(info.value) == "unsupported binding object [('h', 0)]"
+
+
+def test_row_of_an_unevaluated_formula_rejected():
+    store = load_store("x\tR1\ty")
+    arena = FormulaArena()
+    table = model_check(store, arena, parse("top", arena))
+    other = parse("<R1>=1 top", arena)
+    with pytest.raises(EvaluationError) as info:
+        table.row_set(other)
+    assert str(info.value) == f"formula id {other} was not evaluated"

@@ -96,3 +96,68 @@ def test_constant_bound_twice_is_data_error(tmp_path, capsys, command, bind):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"kglogic {command}: error: constant 'h' is bound more than once\n"
+
+
+def _kg_and_formula(tmp_path):
+    kg = tmp_path / "k.tsv"
+    kg.write_text("a\tR1\tb\n")
+    formula = tmp_path / "f.txt"
+    formula.write_text("<R1>=1 @h\n")
+    return str(kg), str(formula)
+
+
+def _assert_error(capsys, code, command, message):
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"kglogic {command}: error: {message}\n"
+
+
+@pytest.mark.parametrize("piece", ["h", "=a", "h=", "h=a,"])
+def test_malformed_bind_piece_is_data_error(tmp_path, capsys, piece):
+    kg, formula = _kg_and_formula(tmp_path)
+    code = main(["check", "--kg", kg, "--formula", formula, "--bind", piece])
+    bad = piece.split(",")[-1]
+    _assert_error(
+        capsys, code, "check", f"malformed binding {bad!r}, expected name=entity"
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "bisim"])
+@pytest.mark.parametrize("bind", [[], ["--bind", "c=a"]])
+def test_query_labeling_without_h_is_data_error(tmp_path, capsys, command, bind):
+    kg, formula = _kg_and_formula(tmp_path)
+    extra = ["--formula", formula] if command == "run" else []
+    code = main([command, "--kg", kg, "--labeling", "query", *bind, *extra])
+    _assert_error(capsys, code, command, "labeling 'query' needs --bind h=<entity>")
+
+
+@pytest.mark.parametrize("sources", ["both", "neither"])
+def test_run_needs_exactly_one_source(tmp_path, capsys, sources):
+    kg, formula = _kg_and_formula(tmp_path)
+    flags = ["--formula", formula, "--bind", "h=a"]
+    if sources == "both":
+        data = _gen(tmp_path)
+        capsys.readouterr()
+        flags += ["--data", str(data), "--kg", kg]
+    code = main(["run", *flags])
+    _assert_error(capsys, code, "run", "run needs exactly one of --data or --kg")
+
+
+def test_bisim_negative_rounds_is_data_error(tmp_path, capsys):
+    kg, _ = _kg_and_formula(tmp_path)
+    code = main(["bisim", "--kg", kg, "--rounds", "-1"])
+    _assert_error(capsys, code, "bisim", "rounds must be >= 0, got -1")
+
+
+def test_run_on_an_empty_test_split_reports_zero_queries(tmp_path, capsys):
+    data = tmp_path / "empty"
+    assert main(["gen", "--relation", "C", "--instances", "0", "--out", str(data)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--data", str(data)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    metrics = [line for line in captured.out.splitlines() if line.startswith("metric")]
+    assert metrics == [
+        "metric\thit@1\t0.0", "metric\thit@10\t0.0", "metric\tmrr\t0.0",
+        "metric\tqueries\t0",
+    ]

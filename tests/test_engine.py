@@ -1,12 +1,15 @@
+import dataclasses
 import random
 
 import pytest
 
 from kglogic import (
     EvaluationError,
+    FeatureMatrix,
     FormulaArena,
     canonical_formula,
     compile_formula,
+    engine,
     forward,
     forward_rounds,
     init_features,
@@ -178,3 +181,56 @@ def test_rows_view_matches_bits():
     for v in range(store.n_entities):
         for c in range(net.dim):
             assert rows[v][c] == final.bit(v, c)
+
+
+def _chain_net():
+    store = load_store("a\tR1\tb")
+    arena = FormulaArena()
+    return store, compile_formula(arena, parse("<R1>=1 top", arena))
+
+
+def test_aggregation_weight_other_than_1_rejected():
+    store, net = _chain_net()
+    net.inputs[1] = [("R1", 0, 2)]
+    with pytest.raises(EvaluationError) as info:
+        forward(store, net, init_features(store, net))
+    assert str(info.value) == "aggregation weights must be 0 or 1"
+
+
+@pytest.mark.parametrize("height", [1, 3])
+def test_feature_height_other_than_store_size_rejected(height):
+    store, net = _chain_net()
+    x0 = FeatureMatrix(height, net.dim, [set() for _ in range(net.dim)])
+    with pytest.raises(EvaluationError) as info:
+        forward(store, net, x0)
+    assert str(info.value) == f"feature height {height} does not match store size 2"
+
+
+def test_unknown_atom_kind_rejected():
+    store, net = _chain_net()
+    net.atoms[0] = ("bottom", None)
+    with pytest.raises(EvaluationError) as info:
+        init_features(store, net)
+    assert str(info.value) == "unknown atom kind 'bottom'"
+
+
+def test_readout_past_the_columns_rejected():
+    store, net = _chain_net()
+    x = forward(store, net, init_features(store, net))
+    with pytest.raises(EvaluationError) as info:
+        readout(x, dataclasses.replace(net, out_index=net.dim))
+    assert str(info.value) == f"out_index {net.dim} out of range"
+
+
+def test_debug_check_catches_an_out_of_range_entity(monkeypatch):
+    """A kernel that emits an entity past the store fails the closure check."""
+    store, net = _chain_net()
+    at_least = engine._at_least
+
+    def leaky(store, *args):
+        return {**at_least(store, *args), store.n_entities: 1}
+
+    monkeypatch.setattr(engine, "_at_least", leaky)
+    with pytest.raises(AssertionError) as info:
+        forward(store, net, init_features(store, net), debug=True)
+    assert str(info.value) == "binary-closure violation: column 1 holds 2"

@@ -8,9 +8,11 @@ from kglogic import (
     SynthConfig,
     canonical_formula,
     check_sentence_pair,
+    evaluate_queries,
     gen_dataset,
     parse,
     rank_metrics,
+    score_queries,
     score_query,
     table2_run,
     write_dataset,
@@ -228,3 +230,26 @@ def test_report_text_is_stable(tmp_path):
     r2 = table2_run(out, "ql", 1).to_text()
     assert r1 == r2
     assert "metric\thit@1\t1.0" in r1
+
+
+def _message(call, *args):
+    with pytest.raises(EvaluationError) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_unknown_modes_and_a_missing_formula_rejected():
+    from kglogic import load_store
+
+    store = load_store(TWO_CHAINS)
+    arena = FormulaArena()
+    fid = canonical_formula(arena, "C")
+    assert _message(score_query, store, arena, fid, "ql", 1, (0, "C")) == (
+        "unknown labeling mode 'ql'"
+    )
+    assert _message(score_queries, store, arena, None, "query", 1, [(0, "C")]) == (
+        "labeling mode 'query' needs a formula"
+    )
+    assert _message(evaluate_queries, store, arena, fid, "query", 1, [], []) == (
+        "unknown mode 'query'"
+    )

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kglogic import (
+    EvaluationError,
     FormulaArena,
     FormulaSyntaxError,
     canonical_formula,
@@ -85,6 +86,17 @@ def test_parse_zero_count_rejected():
     arena = FormulaArena()
     with pytest.raises(FormulaSyntaxError, match="at least 1"):
         parse("<R1>=0 top", arena)
+
+
+def test_arena_rejects_a_zero_count_and_an_unknown_canonical_kind():
+    arena = FormulaArena()
+    top = arena.top()
+    with pytest.raises(EvaluationError) as info:
+        arena.diamond(0, "R1", top)
+    assert str(info.value) == "diamond count must be at least 1, got 0"
+    with pytest.raises(EvaluationError) as info:
+        canonical_formula(arena, "U")
+    assert str(info.value) == "unknown canonical formula kind 'U'"
 
 
 def test_print_roundtrip_canonical():

@@ -181,3 +181,20 @@ def test_negative_dim_is_a_range_error(bias):
     text = CHAIN_NET.replace("dim\t2", "dim\t-2").replace("bias\t0 0", f"bias\t{bias}")
     with pytest.raises(EvaluationError, match="line 1: dim -2 out of range"):
         net_from_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (CHAIN_NET + "wire\t0\t1\n", "line 12: unknown section 'wire'"),
+        (CHAIN_NET.replace("layers\t2\n", ""), "missing 'layers' header"),
+        (CHAIN_NET.replace("dim\t2", "dim\ttwo"), "line 1: malformed entry 'two'"),
+        (CHAIN_NET.replace("comb\t0\t0\t1", "comb\t0\t0\tx"),
+         "line 10: malformed entry 'x'"),
+    ],
+    ids=["unknown-section", "missing-header", "non-integer-dim", "non-integer-weight"],
+)
+def test_malformed_net_text_is_named(text, message):
+    with pytest.raises(EvaluationError) as info:
+        net_from_text(text)
+    assert str(info.value) == message

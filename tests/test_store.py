@@ -47,6 +47,42 @@ def test_triples_act_as_a_set():
     assert store.triples | {(c, r2, c)} == want | {(c, r2, c)}
 
 
+def test_triples_hold_nothing_but_3_tuples():
+    """Anything but a 3-tuple is not a member; wherever a set of the same
+    triples answers, the view answers the same."""
+    store = load_store("a\tR1\tb")
+    as_set = set(store.triples)
+    for other in ((0, 0), (0, 0, 1, 0), 1, "abc", None, frozenset({0})):
+        assert (other in store.triples) is (other in as_set) is False
+    assert ({(0, 0)} <= store.triples) is ({(0, 0)} <= as_set) is False
+    assert (store.triples >= {(0, 0)}) is (as_set >= {(0, 0)}) is False
+    assert store.triples.isdisjoint({(0, 0), 5}) is as_set.isdisjoint({(0, 0), 5})
+    assert store.triples.isdisjoint({(0, 0), 5}) is True
+    assert (0, 0, 1) in store.triples and [0, 0, 1] not in store.triples
+
+
+def test_ids_follow_the_given_orders_then_first_appearance():
+    rows = [("c", "R3", "a"), ("a", "R1", "d"), ("d", "R2", "c")]
+    store = TripleStore(
+        rows, entity_order=["b", "a", "b"], relation_order=["R2", "R1", "R2"]
+    )
+    assert store.entity_names == ["b", "a", "c", "d"]
+    assert store.relation_names == ["R2", "R1", "R3"]
+    for i, name in enumerate(store.entity_names):
+        assert store.entity_id(name) == i and store.entity_name(i) == name
+    for i, name in enumerate(store.relation_names):
+        assert store.relation_id(name) == i and store.relation_name(i) == name
+    assert store.n_entities == 4 and store.n_relations == 3
+    assert {(store.entity_name(h), store.relation_name(r), store.entity_name(t))
+            for h, r, t in store.triples} == set(rows)
+    aug = augment_inverses(store)
+    assert aug.entity_names == store.entity_names
+    assert aug.relation_names == store.relation_names + [
+        name + INVERSE_SUFFIX for name in store.relation_names
+    ]
+    assert store.triples <= aug.triples
+
+
 def test_load_malformed_line_reports_lineno():
     with pytest.raises(TripleFileError, match="line 2"):
         load_store("a\tR1\tb\na\tR1")

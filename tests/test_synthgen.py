@@ -11,6 +11,7 @@ from kglogic import (
     gen_dataset,
     load_dataset,
     model_check,
+    synthgen,
     write_dataset,
 )
 from kglogic.cli import main
@@ -134,6 +135,31 @@ def test_decoys_require_u():
 def test_bad_split_rejected():
     with pytest.raises(EvaluationError, match="split"):
         SynthConfig("C", split=(0.5, 0.2, 0.2)).validate()
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        (SynthConfig("X"), "relation kind must be one of C, I, U, got 'X'"),
+        (SynthConfig("C", -1), "n_instances must be >= 0"),
+        (SynthConfig("C", noise_triples=-1), "noise_triples must be >= 0"),
+    ],
+    ids=["kind", "instances", "noise"],
+)
+def test_bad_config_rejected(cfg, message):
+    with pytest.raises(EvaluationError) as info:
+        cfg.validate()
+    assert str(info.value) == message
+
+
+def test_verification_catches_a_lying_evaluator(monkeypatch):
+    """A tail evaluator that always reports the intended tail lets noise
+    through that completes extra chains; the model checker rejects them."""
+    rule = synthgen._RULES["C"]
+    lying = rule.el._replace(tails=lambda adj, h: {h[:-1] + "t"})
+    monkeypatch.setitem(synthgen._RULES, "C", rule._replace(el=lying, ql=lying))
+    with pytest.raises(KGLogicError, match=r"^instance \d+: .* holds at \["):
+        gen_dataset(SynthConfig("C", 20, seed=1))
 
 
 def test_roundtrip_through_files(tmp_path):
