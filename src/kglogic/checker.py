@@ -146,19 +146,19 @@ def model_check(
 
 
 # an era pair's score from b1 = g1 at the head and b2 = g2 at the tail
-_COMBINATORS: dict[str, Callable[[int, int], int]] = {
+COMBINATORS: dict[str, Callable[[int, int], int]] = {
     "and": lambda b1, b2: b1 & b2,
-    "not-left": lambda b1, b2: 1 - b1,
     "or": lambda b1, b2: b1 | b2,
+    "not-left": lambda b1, b2: 1 - b1,
 }
 
 
 def era_combinator(name: str) -> Callable[[int, int], int]:
     """The combinator `name` of a head/tail sentence pair, as a function of
     the two sentences' bits."""
-    if name not in _COMBINATORS:
+    if name not in COMBINATORS:
         raise EvaluationError(f"unknown combinator {name!r}")
-    return _COMBINATORS[name]
+    return COMBINATORS[name]
 
 
 def check_constant_free(arena: FormulaArena, g1: int, g2: int) -> None:

@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 data error.  Every output starts with
 echoed `# key=value` lines so identical invocations are byte-identical and
 self-describing.  A command computes its whole result before it writes the
-first byte, so a failing command leaves no output file.  Output is written
-as a sequence of text chunks: `bisim`, the largest, writes one round at a
-time and never builds its whole text.
+first byte, so a failing command leaves no output file.  Output files are
+UTF-8 whatever the locale (`store.write_files`), so only stdout's encoding can
+reject output text.  Output is written as a sequence of text chunks: `bisim`,
+the largest, writes one round at a time and never builds its whole text.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .bisim import color_refine
+from .checker import COMBINATORS, model_check
 from .compiler import compile_formula, explain, net_to_text
 from .engine import forward, init_features, readout
 from .errors import KGLogicError
-from .evalrank import run_dataset
+from .evalrank import DEFAULT_ERA_PAIR, LABELING_MODES, MODE_TO_LABELING
+from .evalrank import run_dataset, table2_run
 from .formulas import FormulaArena, parse
-from .labeling import Labeling, el_label, query_label
-from .store import TripleStore, load_store, read_text
+from .labeling import QUERY_CONSTANT, Labeling, el_label, query_label
+from .store import TripleStore, load_store, read_text, write_files
 from .synthgen import (
     SUPPORT_RELATIONS, SynthConfig, gen_dataset, load_dataset, write_dataset,
 )
@@ -37,12 +40,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _echo_header(args: argparse.Namespace, skip: tuple[str, ...] = ()) -> str:
-    lines = []
-    for key in sorted(vars(args)):
-        if key in ("func",) or key in skip:
-            continue
-        lines.append(f"# {key}={getattr(args, key)}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"# {key}={value}\n" for key, value in sorted(vars(args).items())
+        if key != "func" and key not in skip
+    )
 
 
 def _write_output(
@@ -52,21 +53,13 @@ def _write_output(
     if out is None:
         # printed chunks cannot be taken back, so the free text in them (the
         # header and entity names) must fit the stream's encoding up front
-        if getattr(sys.stdout, "encoding", None):
-            errors = getattr(sys.stdout, "errors", None) or "strict"
-            for text in free_text:
-                text.encode(sys.stdout.encoding, errors)
+        encoding = getattr(sys.stdout, "encoding", None)
+        for text in free_text if encoding else ():
+            text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
         sys.stdout.writelines(chunks)
     else:
-        path = Path(out) / filename
-        path.parent.mkdir(parents=True, exist_ok=True)
-        f = open(path, "w")
-        try:
-            with f:
-                f.writelines(chunks)
-        except BaseException:
-            path.unlink()  # a write that fails part way leaves no partial file
-            raise
+        Path(out).mkdir(parents=True, exist_ok=True)
+        write_files({Path(out) / filename: chunks})
 
 
 def _write_bits(args: argparse.Namespace, store: TripleStore, bits: list[int]) -> None:
@@ -103,9 +96,9 @@ def _labeling_for(
     mode = args.labeling
     if mode == "none":
         return Labeling(dict(bindings), {name: "manual" for name in bindings})
-    if "h" not in bindings:
-        raise KGLogicError(f"labeling {mode!r} needs --bind h=<entity>")
-    h = bindings["h"]
+    if QUERY_CONSTANT not in bindings:
+        raise KGLogicError(f"labeling {mode!r} needs --bind {QUERY_CONSTANT}=<entity>")
+    h = bindings[QUERY_CONSTANT]
     lab = query_label(h) if mode == "query" else el_label(store, args.degree, h)
     for name, v in bindings.items():
         if name not in lab.bindings:
@@ -146,14 +139,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        # printed first: a report stdout cannot encode then leaves no file
         sys.stdout.write(explain(net))
+        write_files({Path(args.out): [text]})
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .checker import model_check
-
     store = _load_kg(args)
     arena = FormulaArena()
     root = parse(read_text(args.formula).strip(), arena)
@@ -167,13 +159,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if (args.data is None) == (args.kg is None):
         raise KGLogicError("run needs exactly one of --data or --kg")
     if args.data is not None:
-        dataset = load_dataset(args.data)
-        mode = {"none": "era", "query": "ql", "el": "el"}[args.labeling]
+        mode = {lab: m for m, lab in MODE_TO_LABELING.items()}[args.labeling]
         era_pair = (args.era_g1, args.era_g2, args.era_comb)
-        report = run_dataset(
-            dataset, mode, args.degree, era_pair if mode == "era" else None,
-            label=str(args.data),
-        )
+        report = table2_run(args.data, mode, args.degree, era_pair)
         text = _echo_header(args, skip=("out",)) + report.to_text()
         _write_output([text], args.out, "report.txt")
         return 0
@@ -219,11 +207,11 @@ def _bisim_chunks(
 
 def _cmd_report(args: argparse.Namespace) -> int:
     lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
-    lines.append("relation\tera\tql\tel")
+    lines.append("\t".join(("relation", *MODE_TO_LABELING)))
     for datadir in args.data:
         dataset = load_dataset(datadir)
         cells = []
-        for mode in ("era", "ql", "el"):
+        for mode in MODE_TO_LABELING:
             report = run_dataset(dataset, mode, args.degree, label=str(datadir))
             # no test query: no hit rate, which 0.0 would misstate
             cells.append(repr(report.hit_at(1)) if report.queries else "n/a")
@@ -270,18 +258,18 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--preds", default=None)
     p.add_argument("--formula", default=None)
     p.add_argument("--bind", default=None)
-    p.add_argument("--labeling", choices=("none", "query", "el"), default="query")
+    p.add_argument("--labeling", choices=LABELING_MODES, default="query")
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--era-g1", default="top")
-    p.add_argument("--era-g2", default="top")
-    p.add_argument("--era-comb", choices=("and", "or", "not-left"), default="and")
+    p.add_argument("--era-g1", default=DEFAULT_ERA_PAIR[0])
+    p.add_argument("--era-g2", default=DEFAULT_ERA_PAIR[1])
+    p.add_argument("--era-comb", choices=COMBINATORS, default=DEFAULT_ERA_PAIR[2])
     p.add_argument("--out", default=None, help="output directory (stdout if omitted)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bisim", help="emit per-round color classes")
     p.add_argument("--kg", required=True)
     p.add_argument("--preds", default=None)
-    p.add_argument("--labeling", choices=("none", "query", "el"), default="none")
+    p.add_argument("--labeling", choices=LABELING_MODES, default="none")
     p.add_argument("--bind", default=None)
     p.add_argument("--degree", type=int, default=1)
     p.add_argument("--rounds", type=int, default=10)

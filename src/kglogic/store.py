@@ -249,6 +249,21 @@ def read_text(path) -> str:
         ) from None
 
 
+def write_files(files: dict[Path, Iterable[str]]) -> None:
+    """Each file, in order, as the UTF-8 text of its chunks whatever the locale;
+    a failing write or chunk removes every file this call opened, then raises."""
+    opened: list[Path] = []
+    try:
+        for path, chunks in files.items():
+            with open(path, "w", encoding="utf-8") as f:
+                opened.append(path)
+                f.writelines(chunks)
+    except BaseException:
+        for path in opened:
+            path.unlink()
+        raise
+
+
 def parse_tsv(text: str, n_fields: int, what: str) -> Iterator[list[str]]:
     """Rows of exactly `n_fields` tab-separated fields, each yielded as soon as
     it is checked; `what` names the input.  Blank lines are skipped."""

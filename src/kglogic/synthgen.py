@@ -31,7 +31,8 @@ from .formulas import (
     CHAIN_TEXT, I_TEXT, UPRIME_TEXT, And, Const, Diamond, FormulaArena, Pred, Top,
     enumerate_subformulas, parse,
 )
-from .store import TripleStore, load_store, parse_tsv, read_text
+from .labeling import QUERY_CONSTANT
+from .store import TripleStore, load_store, parse_tsv, read_text, write_files
 
 # Query-constant-only approximant of the U rule: both branch chains, fork
 # unpinned.  Satisfied at the decoy tail too, by design.
@@ -194,7 +195,7 @@ class _Rule(NamedTuple):
 
 # The rule catalogue: every per-kind decision derives from it.  Role order is
 # the noise pool order, which drives every rng draw.
-_HEAD = (("h", "head"),)
+_HEAD = ((QUERY_CONSTANT, "head"),)
 _CHAIN = _Check(CHAIN_TEXT, _HEAD, _chain_tails, ("tail",))
 _HUB = _Check(I_TEXT, _HEAD, _i_tails, ("tail",))
 _RULES = {
@@ -460,21 +461,17 @@ def _verify_dataset(store, instances, arena, checks, formulas) -> None:
 
 
 def write_dataset(dataset: SynthDataset, outdir) -> None:
-    """Write triples.tsv, targets_{train,valid,test}.tsv, ground.tsv, config.txt."""
+    """Write triples.tsv, targets_{train,valid,test}.tsv, ground.tsv and
+    config.txt into `outdir`, creating it; if one fails, none written stays."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "triples.tsv").write_text(dataset.store.to_triples_text())
+    files = {out / "triples.tsv": [dataset.store.to_triples_text()]}
     for split in ("train", "valid", "test"):
-        lines = [
-            f"{h}\t{r}\t{t}" for h, r, t in dataset.targets_for(split)
-        ]
-        (out / f"targets_{split}.tsv").write_text(
-            "\n".join(lines) + ("\n" if lines else "")
-        )
-    lines = [f"{i}\t{e}\t{role}" for i, e, role in dataset.ground]
-    (out / "ground.tsv").write_text("\n".join(lines) + ("\n" if lines else ""))
-    cfg_lines = [f"{k}={dataset.config[k]}" for k in sorted(dataset.config)]
-    (out / "config.txt").write_text("\n".join(cfg_lines) + "\n")
+        rows = dataset.targets_for(split)
+        files[out / f"targets_{split}.tsv"] = [f"{h}\t{r}\t{t}\n" for h, r, t in rows]
+    files[out / "ground.tsv"] = [f"{i}\t{e}\t{role}\n" for i, e, role in dataset.ground]
+    files[out / "config.txt"] = [f"{k}={v}\n" for k, v in sorted(dataset.config.items())]
+    write_files(files)
 
 
 def load_dataset(datadir) -> SynthDataset:
