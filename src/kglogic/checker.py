@@ -20,7 +20,6 @@ from .formulas import (
     Top,
     _children,
     constants_in,
-    enumerate_subformulas,
 )
 from .store import TripleStore
 
@@ -35,12 +34,9 @@ class OpCounter:
 class TruthTable:
     """Per-subformula satisfying-entity sets over one store."""
 
-    def __init__(self, n_entities: int):
+    def __init__(self, n_entities: int, rows: dict[int, set[int]]):
         self.n_entities = n_entities
-        self._rows: dict[int, set[int]] = {}
-
-    def set_row(self, fid: int, row: set[int]) -> None:
-        self._rows[fid] = row
+        self._rows = rows
 
     def row_set(self, fid: int) -> set[int]:
         if fid not in self._rows:
@@ -92,57 +88,56 @@ def model_check(
     """
     bindings = resolve_bindings(binding)
     n = store.n_entities
-    table = TruthTable(n)
-    counter = op_counter if op_counter is not None else OpCounter()
+    rows: dict[int, set[int]] = {}
+    ops = 0
     constant_free: set[int] = set()
 
-    for fid in enumerate_subformulas(arena, root):
-        node = arena.node(fid)
+    for fid, node in arena.subformulas(root):
+        kind = type(node)
         if shared is not None:
             if fid in shared:
-                table.set_row(fid, shared[fid])
+                rows[fid] = shared[fid]
                 constant_free.add(fid)
                 continue
-            if not isinstance(node, Const) and all(
-                k in constant_free for k in _children(node)
-            ):
+            if kind is not Const and constant_free.issuperset(_children(node)):
                 constant_free.add(fid)
-        if isinstance(node, Top):
-            row = set(range(n))
-            counter.ops += n
-        elif isinstance(node, Pred):
-            row = set(store.preds.get(node.name, ()))
-            counter.ops += max(1, len(row))
-        elif isinstance(node, Const):
+        if kind is Diamond:
+            rid = store.relation_id(node.relation)
+            hits: dict[int, int] = {}
+            for u in rows[node.sub]:
+                tails = store.successors(rid, u)
+                ops += len(tails) + 1
+                for t in tails:
+                    hits[t] = hits.get(t, 0) + 1
+            row = {t for t, c in hits.items() if c >= node.count}
+        elif kind is And:
+            left, right = rows[node.left], rows[node.right]
+            row = left & right
+            ops += min(len(left), len(right))
+        elif kind is Const:
             if node.name not in bindings:
                 raise EvaluationError(f"unbound constant '@{node.name}'")
             v = bindings[node.name]
             store.check_entity(v)
             row = {v}
-            counter.ops += 1
-        elif isinstance(node, Not):
-            row = set(range(n)) - table.row_set(node.sub)
-            counter.ops += n
-        elif isinstance(node, And):
-            row = table.row_set(node.left) & table.row_set(node.right)
-            counter.ops += min(
-                len(table.row_set(node.left)), len(table.row_set(node.right))
-            )
-        elif isinstance(node, Diamond):
-            rid = store.relation_id(node.relation)
-            hits: dict[int, int] = {}
-            for u in table.row_set(node.sub):
-                tails = store.successors(rid, u)
-                counter.ops += len(tails) + 1
-                for t in tails:
-                    hits[t] = hits.get(t, 0) + 1
-            row = {t for t, c in hits.items() if c >= node.count}
+            ops += 1
+        elif kind is Top:
+            row = set(range(n))
+            ops += n
+        elif kind is Pred:
+            row = set(store.preds.get(node.name, ()))
+            ops += max(1, len(row))
+        elif kind is Not:
+            row = set(range(n)) - rows[node.sub]
+            ops += n
         else:  # pragma: no cover - exhaustive over the AST
             raise EvaluationError(f"cannot evaluate node {node!r}")
-        table.set_row(fid, row)
+        rows[fid] = row
         if fid in constant_free:
             shared[fid] = row
-    return table
+    if op_counter is not None:
+        op_counter.ops += ops
+    return TruthTable(n, rows)
 
 
 # an era pair's score from b1 = g1 at the head and b2 = g2 at the tail

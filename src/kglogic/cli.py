@@ -46,6 +46,13 @@ def _echo_header(args: argparse.Namespace, skip: tuple[str, ...] = ()) -> str:
     )
 
 
+def _check_stdout(texts: Iterable[str]) -> None:
+    """Raise UnicodeEncodeError unless stdout's encoding takes every text."""
+    encoding = getattr(sys.stdout, "encoding", None)
+    for text in texts if encoding else ():
+        text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+
+
 def _write_output(
     chunks: Iterable[str], out: Optional[str], filename: str,
     free_text: Iterable[str] = (),
@@ -53,9 +60,7 @@ def _write_output(
     if out is None:
         # printed chunks cannot be taken back, so the free text in them (the
         # header and entity names) must fit the stream's encoding up front
-        encoding = getattr(sys.stdout, "encoding", None)
-        for text in free_text if encoding else ():
-            text.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+        _check_stdout(free_text)
         sys.stdout.writelines(chunks)
     else:
         Path(out).mkdir(parents=True, exist_ok=True)
@@ -123,11 +128,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         decoys=args.decoys,
     )
     dataset = gen_dataset(cfg)
-    write_dataset(dataset, args.out)
-    sys.stdout.write(
+    line = (
         f"wrote {len(dataset.store.triples)} triples, "
         f"{len(dataset.targets)} targets to {args.out}\n"
     )
+    _check_stdout([line])  # first, so a line stdout cannot take leaves no dataset
+    write_dataset(dataset, args.out)
+    sys.stdout.write(line)
     return 0
 
 
@@ -290,6 +297,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if argv is None:
+        # bytes the locale cannot decode arrive as surrogate escapes; names and
+        # formula texts meet UTF-8 files, so they are UTF-8 (paths keep theirs)
+        for key in ("bind", "era_g1", "era_g2"):
+            if (value := getattr(args, key, None)) is not None:
+                raw = value.encode("utf-8", "surrogateescape")
+                setattr(args, key, raw.decode("utf-8", "surrogateescape"))
     try:
         return args.func(args)
     # UnicodeEncodeError: output text the stream's or file's encoding lacks

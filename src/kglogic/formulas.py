@@ -78,6 +78,7 @@ class FormulaArena:
     def __init__(self):
         self._nodes: list[Node] = []
         self._ids: dict[Node, int] = {}
+        self._orders: dict[int, tuple[tuple[int, Node], ...]] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -98,6 +99,16 @@ class FormulaArena:
     def node(self, fid: int) -> Node:
         self.check(fid)
         return self._nodes[fid]
+
+    def subformulas(self, root: int) -> tuple[tuple[int, Node], ...]:
+        """(id, node) per distinct subformula of `root`, children first; kept
+        per root, as nodes are never changed or removed."""
+        self.check(root)
+        if root not in self._orders:
+            self._orders[root] = tuple(
+                (f, self._nodes[f]) for f in enumerate_subformulas(self, root)
+            )
+        return self._orders[root]
 
     def top(self) -> int:
         return self._intern(Top())

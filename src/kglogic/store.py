@@ -223,9 +223,11 @@ class TripleStore:
 
     def to_triples_text(self) -> str:
         # name-sorted, so the text is canonical under id renumbering
+        names, relations = self._entity_names, self._relation_names
         lines = sorted(
-            f"{self._entity_names[h]}\t{self._relation_names[r]}\t{self._entity_names[t]}"
-            for h, r, t in self.triples
+            f"{names[h]}\t{relations[r]}\t{names[t]}"
+            for r, by_head in self._succ.items() for h, tails in by_head.items()
+            for t in tails
         )
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -107,11 +107,19 @@ class _Adjacency:
         self._pred_relations = pred_relations
 
     def add(self, h: str, r: str, t: str) -> bool:
-        if t in self.out(r, h):
+        tails = self.succ.get(r, _EMPTY).get(h)
+        if tails is None:
+            self.succ.setdefault(r, {})[h] = [t]
+        elif t in tails:
             return False
-        _append(self.succ.setdefault(r, {}), h, t)
+        else:
+            tails.append(t)
         if self._pred_relations is None or r in self._pred_relations:
-            _append(self.pred.setdefault(r, {}), t, h)
+            heads = self.pred.get(r, _EMPTY).get(t)
+            if heads is None:
+                self.pred.setdefault(r, {})[t] = [h]
+            else:
+                heads.append(h)
         return True
 
     def remove(self, h: str, r: str, t: str) -> None:
@@ -122,31 +130,26 @@ class _Adjacency:
                 self.pred[r][t].remove(h)
 
     def out(self, r: str, v: str) -> Sequence[str]:
-        return self.succ.get(r, {}).get(v, ())
+        return self.succ.get(r, _EMPTY).get(v, ())
 
     def outs(self, r: str, vs) -> set[str]:
-        result: set[str] = set()
-        for v in vs:
-            result.update(self.out(r, v))
-        return result
+        groups = self.succ.get(r, _EMPTY)
+        return {t for v in vs for t in groups.get(v, ())}
 
     def in_count(self, r: str, v: str) -> int:
-        return len(self.pred.get(r, {}).get(v, ()))
+        return len(self.pred.get(r, _EMPTY).get(v, ()))
 
 
-def _append(groups: dict[str, list[str]], key: str, value: str) -> None:
-    if key in groups:
-        groups[key].append(value)
-    else:
-        groups[key] = [value]
+# the groups of a relation without edges, shared by every read; never written
+_EMPTY: dict[str, list[str]] = {}
 
 
 # Fast tail evaluators: the tails a check's formula holds at from head h,
 # united over all values of its other constants.  They code the rules a third
 # time because noise rejection runs them per affected head, 2,895 times for
-# gen U 500 --decoys seed 1: model_check takes 133-149 us a head there (Uprime
+# gen U 500 --decoys seed 1: model_check takes 41-46 us a head there (Uprime
 # over each R1-successor as @c, plus the query-only rule) on a finished store,
-# these 17-23 us, so it would add about 0.35 s to a 0.3 s run (Python 3.11,
+# these 8-9 us, so it would add about 0.1 s to a 0.13 s run (Python 3.11,
 # 2-vCPU Xeon), before keeping a store in step with the adjacency.
 # A property test checks each one against the model checker.
 
@@ -163,18 +166,27 @@ def _i_tails(adj: _Adjacency, h: str) -> set[str]:
 
 def _u_fork_tails(adj: _Adjacency, h: str) -> set[str]:
     # Tails reachable along both branches through one shared fork.
+    s = adj.succ
+    r2, r3 = s.get("R2", _EMPTY), s.get("R3", _EMPTY)
+    r4, r5 = s.get("R4", _EMPTY), s.get("R5", _EMPTY)
     tails: set[str] = set()
-    for c in adj.out("R1", h):
-        left = adj.outs("R4", adj.out("R2", c))
-        right = adj.outs("R5", adj.out("R3", c))
+    for c in s.get("R1", _EMPTY).get(h, ()):
+        left, right = set(), set()
+        for z in r2.get(c, ()):
+            left.update(r4.get(z, ()))
+        for z in r3.get(c, ()):
+            right.update(r5.get(z, ()))
         tails |= left & right
     return tails
 
 
 def _u_query_only_tails(adj: _Adjacency, h: str) -> set[str]:
-    forks = adj.out("R1", h)
-    left = adj.outs("R4", adj.outs("R2", forks))
-    right = adj.outs("R5", adj.outs("R3", forks))
+    s = adj.succ
+    r2, r3 = s.get("R2", _EMPTY), s.get("R3", _EMPTY)
+    r4, r5 = s.get("R4", _EMPTY), s.get("R5", _EMPTY)
+    forks = s.get("R1", _EMPTY).get(h, ())
+    left = {t for c in forks for z in r2.get(c, ()) for t in r4.get(z, ())}
+    right = {t for c in forks for z in r3.get(c, ()) for t in r5.get(z, ())}
     return left & right
 
 
@@ -326,15 +338,22 @@ def _affected_heads(
     """The heads whose tails a new edge between `endpoints` can change: those
     that `walks`, _back_walks' entry for the edge's relation, reach, in no
     particular order."""
-    reached: set[str] = set()
-    start = dict(zip("uw", endpoints))
+    u, w = endpoints
+    found: dict[str, _Instance] = {}
+    pred = adj.pred
     for end, path in walks:
-        frontier = {start[end]}
+        frontier = [u if end == "u" else w]
         for r in path:
-            pred = adj.pred.get(r, {})
-            frontier = {p for v in frontier for p in pred.get(v, ())}
-        reached |= frontier
-    return [heads[v] for v in reached if v in heads]
+            by_tail, step = pred.get(r, _EMPTY), []
+            for v in frontier:
+                step += by_tail.get(v, ())
+            frontier = step
+            if not frontier:
+                break
+        for v in frontier:
+            if v in heads:
+                found[v] = heads[v]
+    return list(found.values())
 
 
 def _draw_noise(
@@ -363,20 +382,21 @@ def _draw_noise(
     if budget > 0 and not pool:
         raise KGLogicError("cannot generate noise for an empty dataset")
     relations = SUPPORT_RELATIONS[kind]
+    randrange, n_pool, n_relations = rng.randrange, len(pool), len(relations)
     noise: list[tuple[str, str, str]] = []
     for _ in range(budget):
         for _attempt in range(_MAX_ATTEMPTS_PER_NOISE):
-            u = pool[rng.randrange(len(pool))]
-            rel = relations[rng.randrange(len(relations))]
-            w = pool[rng.randrange(len(pool))]
+            u = pool[randrange(n_pool)]
+            rel = relations[randrange(n_relations)]
+            w = pool[randrange(n_pool)]
             if not adj.add(u, rel, w):
                 continue
-            bad = any(
+            affected = _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
+            if affected and any(
                 check.tails(adj, inst.roles["head"]) != want
-                for inst in _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
+                for inst in affected
                 for check, want in zip(checks, inst.expected)
-            )
-            if bad:
+            ):
                 adj.remove(u, rel, w)
                 continue
             noise.append((u, rel, w))

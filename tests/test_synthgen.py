@@ -1,4 +1,7 @@
-import tracemalloc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,8 @@ from kglogic import (
 )
 from kglogic.cli import main
 from helpers import foc_u_tails
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_chain_instance_counts():
@@ -200,6 +205,19 @@ def test_noise_errors(tmp_path, capsys, cfg, argv, message):
     assert not out.exists()
 
 
+# Run in a fresh interpreter: free lists that earlier tests leave behind move
+# the traced peak by several percent.
+_PEAK = """
+import sys, tracemalloc
+from kglogic import SynthConfig, gen_dataset
+kind, n, seed, decoys = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+tracemalloc.start()
+dataset = gen_dataset(SynthConfig(kind, n, seed=seed, decoys=decoys == "True"))
+kept, peak = tracemalloc.get_traced_memory()
+print(len(dataset.store.triples), dataset.config["support_triples"], kept, peak)
+"""
+
+
 @pytest.mark.parametrize(
     "cfg",
     [SynthConfig("U", 300, seed=1, decoys=True), SynthConfig("I", 300, seed=1),
@@ -209,11 +227,12 @@ def test_noise_errors(tmp_path, capsys, cfg, argv, message):
 def test_gen_peak_stays_within_1_8x_what_it_keeps(cfg):
     # noise rejection's set-valued adjacency and its copy of every edge as a
     # name triple, alive until verification ended, put the peak at 2.4-2.7x
-    tracemalloc.start()
-    try:
-        dataset = gen_dataset(cfg)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(dataset.store.triples) == 3 * dataset.config["support_triples"]
+    argv = [cfg.relation_kind, cfg.n_instances, cfg.seed, cfg.decoys]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK, *map(str, argv)], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    triples, support, kept, peak = map(int, proc.stdout.split())
+    assert triples == 3 * support
     assert peak <= 1.8 * kept, (peak, kept)
