@@ -12,6 +12,7 @@ the largest, writes one round at a time and never builds its whole text.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from itertools import chain
 from pathlib import Path
@@ -292,24 +293,32 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    # A command's data are ints, strs and containers of them in no reference
+    # cycle, so the cyclic collector's passes over them would free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if argv is None:
-        # bytes the locale cannot decode arrive as surrogate escapes; names and
-        # formula texts meet UTF-8 files, so they are UTF-8 (paths keep theirs)
-        for key in ("bind", "era_g1", "era_g2"):
-            if (value := getattr(args, key, None)) is not None:
-                raw = value.encode("utf-8", "surrogateescape")
-                setattr(args, key, raw.decode("utf-8", "surrogateescape"))
-    try:
-        return args.func(args)
-    # UnicodeEncodeError: output text the stream's or file's encoding lacks
-    except (KGLogicError, OSError, UnicodeEncodeError) as exc:
-        sys.stderr.write(f"kglogic {args.command}: error: {exc}\n")
-        return 2
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        if argv is None:
+            # undecodable bytes arrive as surrogate escapes; names and formula
+            # texts meet UTF-8 files, so they are UTF-8 (paths keep theirs)
+            for key in ("bind", "era_g1", "era_g2"):
+                if (value := getattr(args, key, None)) is not None:
+                    raw = value.encode("utf-8", "surrogateescape")
+                    setattr(args, key, raw.decode("utf-8", "surrogateescape"))
+        try:
+            return args.func(args)
+        # UnicodeEncodeError: output text the stream's or file's encoding lacks
+        except (KGLogicError, OSError, UnicodeEncodeError) as exc:
+            sys.stderr.write(f"kglogic {args.command}: error: {exc}\n")
+            return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -124,6 +124,18 @@ class TripleStore:
                 )
             self.preds.setdefault(pred, set()).add(eid)
 
+    @classmethod
+    def _adopt(cls, entity_names, relation_names, succ) -> TripleStore:
+        """A store without unary facts over the caller's name lists, in id
+        order, and successor lists, taken as they are: `succ` has a key per
+        relation id, in id order, and every tail list is sorted and distinct."""
+        store = cls.__new__(cls)
+        store._entity_names, store._relation_names = entity_names, relation_names
+        store._entity_ids = {e: i for i, e in enumerate(entity_names)}
+        store._relation_ids = {r: i for i, r in enumerate(relation_names)}
+        store._succ, store.triples, store.preds = succ, _TripleView(succ), {}
+        return store
+
     @cached_property
     def in_edges(self) -> tuple[list[int], list[int], list[int]]:
         """Every edge's head and its relation id times n_entities, both

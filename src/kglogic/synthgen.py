@@ -72,9 +72,9 @@ class SynthConfig:
 @dataclass
 class _Instance:
     index: int
-    roles: dict[str, str]  # role -> entity, in template (noise pool) order
-    support: list[tuple[str, str, str]]
-    expected: tuple[set[str], ...]  # per check: the only tails it may hold at
+    roles: dict[str, int]  # role -> entity id, in template (noise pool) order
+    support: list[tuple[int, str, int]]
+    expected: tuple[set[int], ...]  # per check: the only tails it may hold at
 
 
 @dataclass
@@ -89,111 +89,117 @@ class SynthDataset:
 
 
 class _Adjacency:
-    """Name-keyed adjacency used only during noise rejection.
+    """Adjacency over entity ids 0..n-1, used only during noise rejection.
 
     succ[R][v] and pred[R][v] list v's R-successors and R-predecessors in
     the order their edges were added, with set semantics: add skips an edge
     already present and returns whether it added the edge, and remove of an
-    absent edge does nothing.  It is noise rejection's one edge set, and
-    lists keep it small: most groups hold one name, and a group starts as a
-    one-slot list of 64 bytes, where an appended-to empty list takes 88 and
-    a set 216.  pred keeps groups only for the relations in `pred_relations`
-    (every relation when it is None).
+    absent edge does nothing.  The shared () marks a missing group.
+    created[R] maps the heads of R's successor groups to the groups in
+    creation order, which a store reading the kept edges in the order they
+    were added gives them; a successor group that remove empties goes back
+    to () and leaves it.  It is noise rejection's one edge set, and lists
+    keep it small: a relation takes an 8-byte slot per entity, and a group
+    starts as a one-slot list of 64 bytes, where an appended-to empty list
+    takes 88 and a set 216.  pred keeps groups only for the relations in
+    `pred_relations` (every relation when it is None).
     """
 
-    def __init__(self, pred_relations: Optional[set[str]] = None):
-        self.succ: dict[str, dict[str, list[str]]] = {}
-        self.pred: dict[str, dict[str, list[str]]] = {}
-        self._pred_relations = pred_relations
+    def __init__(self, n: int, relations: Sequence[str], pred_relations=None):
+        kept = relations if pred_relations is None else pred_relations
+        self.succ: dict[str, list] = {r: [()] * n for r in relations}
+        self.pred: dict[str, list] = {r: [()] * n for r in relations if r in kept}
+        self.created: dict[str, dict[int, list[int]]] = {r: {} for r in relations}
 
-    def add(self, h: str, r: str, t: str) -> bool:
-        tails = self.succ.get(r, _EMPTY).get(h)
-        if tails is None:
-            self.succ.setdefault(r, {})[h] = [t]
+    def add(self, h: int, r: str, t: int) -> bool:
+        by_head = self.succ[r]
+        tails = by_head[h]
+        if not tails:
+            by_head[h] = self.created[r][h] = [t]
         elif t in tails:
             return False
         else:
             tails.append(t)
-        if self._pred_relations is None or r in self._pred_relations:
-            heads = self.pred.get(r, _EMPTY).get(t)
-            if heads is None:
-                self.pred.setdefault(r, {})[t] = [h]
-            else:
+        by_tail = self.pred.get(r)
+        if by_tail is not None:
+            heads = by_tail[t]
+            if heads:
                 heads.append(h)
+            else:
+                by_tail[t] = [h]
         return True
 
-    def remove(self, h: str, r: str, t: str) -> None:
-        ts = self.out(r, h)
-        if t in ts:
-            ts.remove(t)
+    def remove(self, h: int, r: str, t: int) -> None:
+        by_head = self.succ[r]
+        tails = by_head[h]
+        if t in tails:
+            if len(tails) == 1:
+                by_head[h] = ()
+                del self.created[r][h]
+            else:
+                tails.remove(t)
             if r in self.pred:  # add made the group if r keeps them
                 self.pred[r][t].remove(h)
 
-    def out(self, r: str, v: str) -> Sequence[str]:
-        return self.succ.get(r, _EMPTY).get(v, ())
+    def out(self, r: str, v: int) -> Sequence[int]:
+        return self.succ[r][v]
 
-    def outs(self, r: str, vs) -> set[str]:
-        groups = self.succ.get(r, _EMPTY)
-        return {t for v in vs for t in groups.get(v, ())}
+    def outs(self, r: str, vs) -> set[int]:
+        groups = self.succ[r]
+        return {t for v in vs for t in groups[v]}
 
-    def in_count(self, r: str, v: str) -> int:
-        return len(self.pred.get(r, _EMPTY).get(v, ()))
-
-
-# the groups of a relation without edges, shared by every read; never written
-_EMPTY: dict[str, list[str]] = {}
+    def in_count(self, r: str, v: int) -> int:
+        return len(self.pred[r][v])
 
 
 # Fast tail evaluators: the tails a check's formula holds at from head h,
 # united over all values of its other constants.  They code the rules a third
 # time because noise rejection runs them per affected head, 2,895 times for
-# gen U 500 --decoys seed 1: model_check takes 41-46 us a head there (Uprime
+# gen U 500 --decoys seed 1: model_check takes 45-80 us a head there (Uprime
 # over each R1-successor as @c, plus the query-only rule) on a finished store,
-# these 8-9 us, so it would add about 0.1 s to a 0.13 s run (Python 3.11,
-# 2-vCPU Xeon), before keeping a store in step with the adjacency.
+# these 8-15 us, so it would more than double a 0.07-0.10 s run (Python 3.11,
+# shared 2-vCPU Xeon), before keeping a store in step with the adjacency.
 # A property test checks each one against the model checker.
 
 
-def _chain_tails(adj: _Adjacency, h: str) -> set[str]:
+def _chain_tails(adj: _Adjacency, h: int) -> set[int]:
     return adj.outs("R3", adj.outs("R2", adj.out("R1", h)))
 
 
-def _i_tails(adj: _Adjacency, h: str) -> set[str]:
+def _i_tails(adj: _Adjacency, h: int) -> set[int]:
     z2s = adj.outs("R2", adj.out("R1", h))
     hubs = {z for z in z2s if adj.in_count("R4", z) >= 2}
     return adj.outs("R3", hubs)
 
 
-def _u_fork_tails(adj: _Adjacency, h: str) -> set[str]:
+def _u_fork_tails(adj: _Adjacency, h: int) -> set[int]:
     # Tails reachable along both branches through one shared fork.
     s = adj.succ
-    r2, r3 = s.get("R2", _EMPTY), s.get("R3", _EMPTY)
-    r4, r5 = s.get("R4", _EMPTY), s.get("R5", _EMPTY)
-    tails: set[str] = set()
-    for c in s.get("R1", _EMPTY).get(h, ()):
+    r2, r3, r4, r5 = s["R2"], s["R3"], s["R4"], s["R5"]
+    tails: set[int] = set()
+    for c in s["R1"][h]:
         left, right = set(), set()
-        for z in r2.get(c, ()):
-            left.update(r4.get(z, ()))
-        for z in r3.get(c, ()):
-            right.update(r5.get(z, ()))
+        for z in r2[c]:
+            left.update(r4[z])
+        for z in r3[c]:
+            right.update(r5[z])
         tails |= left & right
     return tails
 
 
-def _u_query_only_tails(adj: _Adjacency, h: str) -> set[str]:
+def _u_query_only_tails(adj: _Adjacency, h: int) -> set[int]:
     s = adj.succ
-    r2, r3 = s.get("R2", _EMPTY), s.get("R3", _EMPTY)
-    r4, r5 = s.get("R4", _EMPTY), s.get("R5", _EMPTY)
-    forks = s.get("R1", _EMPTY).get(h, ())
-    left = {t for c in forks for z in r2.get(c, ()) for t in r4.get(z, ())}
-    right = {t for c in forks for z in r3.get(c, ()) for t in r5.get(z, ())}
+    r2, r3, r4, r5 = s["R2"], s["R3"], s["R4"], s["R5"]
+    forks = s["R1"][h]
+    left = {t for c in forks for z in r2[c] for t in r4[z]}
+    right = {t for c in forks for z in r3[c] for t in r5[z]}
     return left & right
 
 
 class _Check(NamedTuple):
     text: str
     binding: tuple[tuple[str, str], ...]  # (constant, role) in ground truth
-    tails: Callable[[_Adjacency, str], set[str]]  # fast evaluator
+    tails: Callable[[_Adjacency, int], set[int]]  # fast evaluator
     expected: tuple[str, ...]  # tail roles; those an instance lacks are skipped
 
 
@@ -252,17 +258,27 @@ def rule_text(kind: str, mode: str) -> str:
     return (rule.ql if mode == "ql" else rule.el).text
 
 
-def _build_instance(kind: str, index: int, decoys: bool, checks) -> _Instance:
+def _build_instances(cfg: SynthConfig, checks):
+    """The instances, and the entity and relation names, numbered as a store
+    reads the support rows in turn, head then tail.  Every role lies on a
+    support edge, and every relation noise draws labels one (tests pin both)."""
+    kind, n = cfg.relation_kind, cfg.n_instances
     rule = _RULES[kind]
     roles, edges = rule.roles, rule.edges
-    if decoys:
+    if cfg.decoys:
         roles, edges = roles + rule.decoy[0], edges + rule.decoy[1]
-    p = f"{kind.lower()}{index}_"
-    by_role = {role: p + suffix for suffix, role in roles}
-    expected = tuple(
-        {by_role[r] for r in check.expected if r in by_role} for check in checks
-    )
-    return _Instance(index, by_role, [(p + u, r, p + w) for u, r, w in edges], expected)
+    suffixes = list(dict.fromkeys(e for u, _, w in edges for e in (u, w)))
+    instances, names = [], []
+    for index in range(n):
+        p = f"{kind.lower()}{index}_"
+        # one int object per entity, shared by every group that holds it
+        eid = {suffix: len(names) + i for i, suffix in enumerate(suffixes)}
+        names += [p + suffix for suffix in suffixes]
+        ids = {role: eid[suffix] for suffix, role in roles}
+        expected = tuple({ids[r] for r in c.expected if r in ids} for c in checks)
+        support = [(eid[u], r, eid[w]) for u, r, w in edges]
+        instances.append(_Instance(index, ids, support, expected))
+    return instances, names, list(dict.fromkeys(r for _, r, _ in edges)) if n else []
 
 
 # A walk is (endpoint, path): from the new edge's source "u" or target "w",
@@ -331,64 +347,77 @@ def _back_walks(
 
 def _affected_heads(
     adj: _Adjacency,
-    endpoints: tuple[str, str],
-    heads: dict[str, _Instance],
+    endpoints: tuple[int, int],
+    heads: list[Optional[_Instance]],
     walks: tuple[_Walk, ...],
 ) -> list[_Instance]:
     """The heads whose tails a new edge between `endpoints` can change: those
     that `walks`, _back_walks' entry for the edge's relation, reach, in no
-    particular order."""
+    particular order.  heads[v] is the instance v heads, or None."""
     u, w = endpoints
-    found: dict[str, _Instance] = {}
+    found: dict[int, _Instance] = {}
     pred = adj.pred
     for end, path in walks:
         frontier = [u if end == "u" else w]
         for r in path:
-            by_tail, step = pred.get(r, _EMPTY), []
+            by_tail, step = pred[r], []
             for v in frontier:
-                step += by_tail.get(v, ())
+                step += by_tail[v]
             frontier = step
             if not frontier:
                 break
         for v in frontier:
-            if v in heads:
-                found[v] = heads[v]
+            inst = heads[v]
+            if inst is not None:
+                found[v] = inst
     return list(found.values())
 
 
 def _draw_noise(
-    rng: random.Random, kind: str, instances: list[_Instance], budget: int, checks,
-    walks: dict[str, tuple[_Walk, ...]],
-) -> list[tuple[str, str, str]]:
-    """`budget` noise triples over the instances' entities, each resampled
-    until it changes no instance head's tails under `checks`.
+    rng: random.Random, kind: str, instances: list[_Instance], n_entities: int,
+    budget: int, checks, walks: dict[str, tuple[_Walk, ...]],
+) -> dict[str, dict[int, list[int]]]:
+    """The support plus `budget` noise triples over the instances' entities,
+    each resampled until it changes no instance head's tails under `checks`,
+    as _Adjacency.created groups them.
 
     The adjacency holds exactly the support and the accepted noise, since a
-    rejected edge is removed again, so it is also the duplicate test.  It
-    and the head map live only in this call: the caller builds and verifies
-    the store after they are freed.  Predecessor groups are kept only for
-    the relations a walk steps back along, and for those counted at a new
-    edge's target (keyed with a walk from "w"): no other group is read.
+    rejected edge is removed again, so it is also the duplicate test.  Its
+    predecessor groups and the head table live only in this call: the caller
+    builds the store from the successor groups after they are freed.
+    Predecessor groups are kept only for the relations a walk steps back
+    along, and for those counted at a new edge's target (keyed with a walk
+    from "w"): no other group is read.
     """
     stepped = {r for ws in walks.values() for _end, path in ws for r in path}
     counted = {rel for rel, ws in walks.items() if any(e == "w" for e, _ in ws)}
-    adj = _Adjacency(stepped | counted)
-    heads = {inst.roles["head"]: inst for inst in instances}
-    pool: list[str] = []
+    relations = SUPPORT_RELATIONS[kind]
+    adj = _Adjacency(n_entities, relations, stepped | counted)
+    heads: list[Optional[_Instance]] = [None] * n_entities
+    pool: list[int] = []
     for inst in instances:
+        heads[inst.roles["head"]] = inst
         pool.extend(inst.roles.values())
         for h, r, t in inst.support:
             adj.add(h, r, t)
     if budget > 0 and not pool:
         raise KGLogicError("cannot generate noise for an empty dataset")
-    relations = SUPPORT_RELATIONS[kind]
-    randrange, n_pool, n_relations = rng.randrange, len(pool), len(relations)
-    noise: list[tuple[str, str, str]] = []
+    # Each index is drawn by the loop Random.randrange(n) runs (CPython
+    # 3.6-3.13), so the draws equal its own without its two calls per draw.
+    getrandbits, n_pool, n_relations = rng.getrandbits, len(pool), len(relations)
+    k_pool, k_relations = n_pool.bit_length(), n_relations.bit_length()
     for _ in range(budget):
         for _attempt in range(_MAX_ATTEMPTS_PER_NOISE):
-            u = pool[randrange(n_pool)]
-            rel = relations[randrange(n_relations)]
-            w = pool[randrange(n_pool)]
+            i = getrandbits(k_pool)
+            while i >= n_pool:
+                i = getrandbits(k_pool)
+            r = getrandbits(k_relations)
+            while r >= n_relations:
+                r = getrandbits(k_relations)
+            j = getrandbits(k_pool)
+            while j >= n_pool:
+                j = getrandbits(k_pool)
+            u, rel, w = pool[i], relations[r], pool[j]
             if not adj.add(u, rel, w):
                 continue
             affected = _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
@@ -399,13 +428,12 @@ def _draw_noise(
             ):
                 adj.remove(u, rel, w)
                 continue
-            noise.append((u, rel, w))
             break
         else:
             raise KGLogicError(
                 "noise rejection budget exhausted; use fewer noise triples"
             )
-    return noise
+    return adj.created
 
 
 def gen_dataset(cfg: SynthConfig) -> SynthDataset:
@@ -419,19 +447,18 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     formulas = [parse(check.text, arena) for check in checks]
     walks = _back_walks(arena, formulas, _HEAD[0][0])
 
-    instances = [
-        _build_instance(kind, i, cfg.decoys, checks) for i in range(cfg.n_instances)
-    ]
-    support = [triple for inst in instances for triple in inst.support]
-    noise_budget = (
-        cfg.noise_triples if cfg.noise_triples is not None else 2 * len(support)
-    )
-    # the noise list is freed once the store is built, ahead of verification
-    store = TripleStore(
-        chain(support, _draw_noise(rng, kind, instances, noise_budget, checks, walks))
+    instances, names, relations = _build_instances(cfg, checks)
+    n_support = sum(len(inst.support) for inst in instances)
+    noise_budget = cfg.noise_triples if cfg.noise_triples is not None else 2 * n_support
+    groups = _draw_noise(rng, kind, instances, len(names), noise_budget, checks, walks)
+    for tails in chain.from_iterable(g.values() for g in groups.values()):
+        tails.sort()
+    store = TripleStore._adopt(
+        names, relations, {i: groups[r] for i, r in enumerate(relations)}
     )
     ground = [
-        (inst.index, e, role) for inst in instances for role, e in inst.roles.items()
+        (inst.index, names[e], role)
+        for inst in instances for role, e in inst.roles.items()
     ]
 
     order = list(range(cfg.n_instances))
@@ -443,8 +470,8 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
         split = "train" if pos < n_train else (
             "valid" if pos < n_train + n_valid else "test"
         )
-        inst = instances[idx]
-        targets.append((inst.roles["head"], kind, inst.roles["tail"], split))
+        roles = instances[idx].roles
+        targets.append((names[roles["head"]], kind, names[roles["tail"]], split))
 
     config = {
         "relation": kind,
@@ -453,7 +480,7 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
         "seed": cfg.seed,
         "split": ",".join(repr(f) for f in cfg.split),
         "decoys": int(cfg.decoys),
-        "support_triples": len(support),
+        "support_triples": n_support,
         "entities": store.n_entities,
     }
     _verify_dataset(store, instances, arena, checks, formulas)
@@ -470,13 +497,13 @@ def _verify_dataset(store, instances, arena, checks, formulas) -> None:
     shared: dict[int, set[int]] = {}
     for inst in instances:
         for check, fid, want in zip(checks, formulas, inst.expected):
-            binding = {c: store.entity_id(inst.roles[r]) for c, r in check.binding}
-            table = model_check(store, arena, fid, binding, shared=shared)
-            got = {store.entity_name(v) for v in table.row_set(fid)}
+            binding = {c: inst.roles[r] for c, r in check.binding}
+            got = model_check(store, arena, fid, binding, shared=shared).row_set(fid)
             if got != want:
+                got, want = (sorted(map(store.entity_name, s)) for s in (got, want))
                 raise KGLogicError(
-                    f"instance {inst.index}: {check.text} holds at {sorted(got)}, "
-                    f"expected {sorted(want)}"
+                    f"instance {inst.index}: {check.text} holds at {got}, "
+                    f"expected {want}"
                 )
 
 

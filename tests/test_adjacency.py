@@ -6,51 +6,52 @@ import random
 from kglogic.synthgen import _Adjacency
 
 RELATIONS = ("R1", "R2", "R3")
-EDGES = [("a", "R1", "b"), ("a", "R1", "c"), ("c", "R2", "b"), ("d", "R1", "b")]
+A, B, C, D, Y, Z = range(6)  # entity ids
+EDGES = [(A, "R1", B), (A, "R1", C), (C, "R2", B), (D, "R1", B)]
 
 
 def _adjacency(edges=EDGES):
-    adj = _Adjacency()
+    adj = _Adjacency(6, RELATIONS + ("R4", "R5"))
     for edge in edges:
         adj.add(*edge)
     return adj
 
 
 def _groups(adj):
-    """succ and pred as neighbour sets, without the groups a remove emptied."""
+    """succ and pred as neighbour sets, without the groups a remove emptied,
+    and the heads of the successor groups in creation order."""
     return [
-        {(r, v): set(ws) for r, by_v in side.items() for v, ws in by_v.items() if ws}
+        {(r, v): set(ws) for r, by_v in side.items() for v, ws in enumerate(by_v) if ws}
         for side in (adj.succ, adj.pred)
-    ]
+    ] + [{r: list(by_head) for r, by_head in adj.created.items()}]
 
 
 def test_duplicate_add_changes_nothing():
-    adj = _Adjacency()
+    adj = _Adjacency(6, RELATIONS)
     assert [adj.add(*edge) for edge in EDGES] == [True] * len(EDGES)
-    succ, pred = copy.deepcopy(adj.succ), copy.deepcopy(adj.pred)
+    state = copy.deepcopy((adj.succ, adj.pred, adj.created))
     for edge in EDGES:
         assert adj.add(*edge) is False
-    assert adj.succ == succ and adj.pred == pred
-    assert list(adj.out("R1", "a")) == ["b", "c"]
-    assert adj.in_count("R1", "b") == 2
-    assert adj.in_count("R2", "b") == 1
+    assert (adj.succ, adj.pred, adj.created) == state
+    assert list(adj.out("R1", A)) == [B, C]
+    assert adj.in_count("R1", B) == 2
+    assert adj.in_count("R2", B) == 1
 
 
 def test_remove_of_an_absent_edge_is_a_no_op():
     adj = _adjacency()
-    succ, pred = copy.deepcopy(adj.succ), copy.deepcopy(adj.pred)
-    # absent tail, absent head, absent relation, and the reverse of an edge
-    for edge in (("a", "R1", "d"), ("z", "R1", "b"), ("a", "R5", "b"),
-                 ("b", "R1", "a")):
+    state = copy.deepcopy((adj.succ, adj.pred, adj.created))
+    # absent tail, absent head, a relation without edges, and the reverse of
+    # an edge
+    for edge in ((A, "R1", D), (Z, "R1", B), (A, "R5", B), (B, "R1", A)):
         adj.remove(*edge)
-    assert adj.succ == succ and adj.pred == pred
+    assert (adj.succ, adj.pred, adj.created) == state
 
 
 def test_add_then_remove_restores_the_neighbour_sets():
     adj = _adjacency()
     before = _groups(adj)
-    for edge in (("a", "R1", "d"), ("b", "R2", "a"), ("z", "R3", "y"),
-                 ("c", "R1", "b")):
+    for edge in ((A, "R1", D), (B, "R2", A), (Z, "R3", Y), (C, "R1", B)):
         adj.add(*edge)
         assert edge[2] in adj.out(edge[1], edge[0])
         adj.remove(*edge)
@@ -59,34 +60,41 @@ def test_add_then_remove_restores_the_neighbour_sets():
 
 
 def test_out_of_an_unknown_key_is_empty_and_stays_empty():
+    """A head without a group, and a relation without edges, read as empty,
+    and a group made later does not show through what they returned."""
     adj = _adjacency()
-    unknown_entity = adj.out("R1", "z")
-    unknown_relation = adj.out("R4", "a")
+    unknown_entity = adj.out("R1", Z)
+    unknown_relation = adj.out("R4", A)
     assert len(unknown_entity) == 0 and len(unknown_relation) == 0
-    adj.add("z", "R1", "a")
-    adj.add("a", "R4", "b")
+    adj.add(Z, "R1", A)
+    adj.add(A, "R4", B)
     assert len(unknown_entity) == 0 and len(unknown_relation) == 0
-    assert list(adj.out("R1", "z")) == ["a"]
-    assert list(adj.out("R4", "a")) == ["b"]
-    assert adj.outs("R3", ["z", "y"]) == set()
-    assert adj.in_count("R3", "z") == 0
+    assert list(adj.out("R1", Z)) == [A]
+    assert list(adj.out("R4", A)) == [B]
+    assert adj.outs("R3", [Z, Y]) == set()
+    assert adj.in_count("R3", Z) == 0
 
 
 def test_random_adds_and_removes_equal_a_triple_set():
     """out, outs and in_count equal a plain triple set's under random adds
-    and removes, duplicates and absent edges included."""
+    and removes, duplicates and absent edges included, and `created` holds
+    each non-empty successor group, in the order the groups were created."""
     rng = random.Random(11)
-    names = [f"e{i}" for i in range(6)]
+    names = list(range(6))
     for _ in range(50):
-        adj, triples = _Adjacency(), set()
+        adj, triples, created = _Adjacency(6, RELATIONS), set(), {}
         for _ in range(rng.randint(1, 80)):
             edge = (rng.choice(names), rng.choice(RELATIONS), rng.choice(names))
+            group = edge[:2]
             if rng.random() < 0.6:
                 adj.add(*edge)
                 triples.add(edge)
+                created.setdefault(group, None)
             else:
                 adj.remove(*edge)
                 triples.discard(edge)
+                if not any(triple[:2] == group for triple in triples):
+                    created.pop(group, None)
         for r in RELATIONS:
             for v in names:
                 out = adj.out(r, v)
@@ -98,3 +106,5 @@ def test_random_adds_and_removes_equal_a_triple_set():
             assert adj.outs(r, names[:3]) == {
                 t for h, s, t in triples if s == r and h in names[:3]
             }
+            assert list(adj.created[r]) == [h for h, s in created if s == r]
+            assert all(adj.created[r][h] is adj.out(r, h) for h in adj.created[r])

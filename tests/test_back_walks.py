@@ -103,24 +103,24 @@ def test_every_changed_head_is_walked_to(text, tails):
     cases = changed = 0
     for _ in range(400):
         n = rng.randint(3, 9)
-        names = [f"e{i}" for i in range(n)]
-        heads = {v: _Instance(i, {"head": v}, [], ()) for i, v in enumerate(names)}
-        adj = _Adjacency()
+        ids = list(range(n))
+        heads = [_Instance(v, {"head": v}, [], ()) for v in ids]
+        adj = _Adjacency(n, RELATIONS)
         for _ in range(rng.randint(n, 6 * n)):
-            adj.add(rng.choice(names), rng.choice(RELATIONS), rng.choice(names))
-        before = {v: tails(adj, v) for v in names}
+            adj.add(rng.choice(ids), rng.choice(RELATIONS), rng.choice(ids))
+        before = {v: tails(adj, v) for v in ids}
         for _ in range(10):
-            u, rel, w = rng.choice(names), rng.choice(RELATIONS), rng.choice(names)
+            u, rel, w = rng.choice(ids), rng.choice(RELATIONS), rng.choice(ids)
             if w in adj.out(rel, u):
                 continue
             adj.add(u, rel, w)
             affected = _affected_heads(adj, (u, w), heads, walks.get(rel, ()))
-            affected_names = {inst.roles["head"] for inst in affected}
-            for v in names:
+            affected_ids = {inst.roles["head"] for inst in affected}
+            for v in ids:
                 cases += 1
                 if tails(adj, v) != before[v]:
                     changed += 1
-                    assert v in affected_names, (text, (u, rel, w), v)
+                    assert v in affected_ids, (text, (u, rel, w), v)
             adj.remove(u, rel, w)
     assert cases > 20000 and changed > 100
 
@@ -130,23 +130,23 @@ def test_count_at_the_tail_is_walked_to_past_depth():
     the tail t, three hops out."""
     arena = FormulaArena()
     fid = parse(COUNTED_CHAIN_TEXT, arena)
-    adj = _Adjacency()
-    for triple in (("h", "R1", "a"), ("a", "R2", "b"), ("b", "R3", "t"),
-                   ("x", "R4", "t")):
+    h, a, b, t, x, y = range(6)
+    adj = _Adjacency(6, RELATIONS)
+    for triple in ((h, "R1", a), (a, "R2", b), (b, "R3", t), (x, "R4", t)):
         adj.add(*triple)
-    heads = {v: _Instance(i, {"head": v}, [], ()) for i, v in enumerate("habtxy")}
-    assert _counted_chain_tails(adj, "h") == set()
-    adj.add("y", "R4", "t")
-    assert _counted_chain_tails(adj, "h") == {"t"}
+    heads = [_Instance(v, {"head": v}, [], ()) for v in range(6)]
+    assert _counted_chain_tails(adj, h) == set()
+    adj.add(y, "R4", t)
+    assert _counted_chain_tails(adj, h) == {t}
     walks = _back_walks(arena, [fid], "h")
-    walked = _affected_heads(adj, ("y", "t"), heads, walks["R4"])
-    assert [inst.roles["head"] for inst in walked] == ["h"]
+    walked = _affected_heads(adj, (y, t), heads, walks["R4"])
+    assert [inst.roles["head"] for inst in walked] == [h]
 
 
 def _store(adj, names):
     triples = [
-        (u, r, w) for r, by_head in adj.succ.items() for u, ws in by_head.items()
-        for w in ws
+        (names[u], r, names[w]) for r, by_head in adj.succ.items()
+        for u, ws in enumerate(by_head) for w in ws
     ]
     return TripleStore(triples, entity_order=names, relation_order=RELATIONS[:3])
 
@@ -170,10 +170,11 @@ def test_random_placeable_formulas_against_model_checker():
         for _ in range(6):
             n = rng.randint(2, 5)
             names = [f"e{i}" for i in range(n)]
-            heads = {v: _Instance(i, {"head": v}, [], ()) for i, v in enumerate(names)}
-            adj = _Adjacency()
+            ids = list(range(n))
+            heads = [_Instance(v, {"head": v}, [], ()) for v in ids]
+            adj = _Adjacency(n, RELATIONS[:3])
             for _ in range(rng.randint(n, 4 * n)):
-                adj.add(rng.choice(names), rng.choice(RELATIONS[:3]), rng.choice(names))
+                adj.add(rng.choice(ids), rng.choice(RELATIONS[:3]), rng.choice(ids))
 
             def all_tails():
                 store = _store(adj, names)
@@ -188,7 +189,7 @@ def test_random_placeable_formulas_against_model_checker():
             before = all_tails()
             for _ in range(4):
                 u, rel, w = (
-                    rng.choice(names), rng.choice(RELATIONS[:3]), rng.choice(names)
+                    rng.choice(ids), rng.choice(RELATIONS[:3]), rng.choice(ids)
                 )
                 if w in adj.out(rel, u):
                     continue

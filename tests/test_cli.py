@@ -1,3 +1,8 @@
+import gc
+
+import pytest
+
+from kglogic import cli
 from kglogic.cli import main
 
 U_STRUCTURE = "h\tR1\tc\nc\tR2\tz2\nz2\tR4\tt\nc\tR3\tz3\nz3\tR5\tt\n"
@@ -170,3 +175,53 @@ def test_report_empty_test_split_prints_na(tmp_path, capsys):
     # a missing hit rate is not a zero one; a non-empty split keeps its numbers
     assert rows[0] == ["C", "n/a", "n/a", "n/a"]
     assert all(cell != "n/a" and 0.0 <= float(cell) <= 1.0 for cell in rows[1][1:])
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["gen", "--relation", "C", "--instances", "3", "--out", "{tmp}/out"], 0),
+        (["gen", "--bogus"], 1),
+        (["gen", "--relation", "C", "--instances", "1", "--noise", "100",
+          "--out", "{tmp}/out"], 2),
+    ],
+    ids=["ok", "usage", "data"],
+)
+def test_main_pauses_the_collector_and_restores_it(
+    tmp_path, capsys, monkeypatch, argv, code, enabled
+):
+    """The cyclic collector is off while a command runs and is back in the
+    caller's state after it, whatever the exit code."""
+    during = []
+    gen_dataset = cli.gen_dataset
+
+    def spied(cfg):
+        during.append(gc.isenabled())
+        return gen_dataset(cfg)
+
+    monkeypatch.setattr(cli, "gen_dataset", spied)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == ([] if code == 1 else [False])
+
+
+def test_gen_leaves_no_garbage_that_grows_with_the_input(tmp_path, capsys):
+    """With the collector paused for the command, what `gc.collect()` finds
+    unreachable afterwards must not grow with the data."""
+    found = []
+    for n in (20, 200):
+        gc.collect()
+        gc.disable()  # so that no automatic pass runs before the count
+        try:
+            argv = ["gen", "--relation", "U", "--decoys", "--instances", str(n),
+                    "--out", str(tmp_path / str(n))]
+            assert main(argv) == 0
+            found.append(gc.collect())
+        finally:
+            gc.enable()
+    assert found[1] <= found[0], found

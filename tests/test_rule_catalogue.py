@@ -33,6 +33,23 @@ def test_public_values_derived_from_catalogue():
             assert diamond_depth(arena, parse(check.text, arena)) == 3
 
 
+@pytest.mark.parametrize(
+    "kind, decoys",
+    [(k, d) for k, rule in _RULES.items() for d in (False, True)
+     if rule.decoy[0] or not d],
+)
+def test_support_edges_cover_every_role_and_noise_relation(kind, decoys):
+    """Generation numbers entities and relations as a store reads the support
+    rows, so every role must lie on a support edge and every relation noise
+    draws must label one, with or without decoys."""
+    rule = _RULES[kind]
+    roles, edges = rule.roles, rule.edges
+    if decoys:
+        roles, edges = roles + rule.decoy[0], edges + rule.decoy[1]
+    assert {suffix for suffix, _ in roles} == {e for u, _, w in edges for e in (u, w)}
+    assert set(SUPPORT_RELATIONS[kind]) == {r for _, r, _ in edges}
+
+
 CHECKS = list(dict.fromkeys(c for rule in _RULES.values() for c in (rule.el, rule.ql)))
 
 
@@ -54,15 +71,15 @@ def test_fast_evaluator_equals_model_checker(check):
             for _ in range(rng.randint(n, 8 * n))
         })
         store = TripleStore(triples, entity_order=names, relation_order=RELATIONS)
-        adj = _Adjacency()
-        for triple in triples:
-            adj.add(*triple)
+        adj = _Adjacency(n, RELATIONS)
+        for u, r, w in triples:
+            adj.add(store.entity_id(u), r, store.entity_id(w))
         for h in range(n):
             want: set[int] = set()
             for values in product(range(n), repeat=len(others)):
                 binding = {head: h, **dict(zip(others, values))}
                 want |= model_check(store, arena, fid, binding).row_set(fid)
-            got = {store.entity_id(e) for e in check.tails(adj, names[h])}
+            got = check.tails(adj, h)
             assert got == want, (check.text, triples, names[h])
             cases += 1
             nonempty += bool(want)

@@ -159,9 +159,10 @@ def test_bad_config_rejected(cfg, message):
 
 def test_verification_catches_a_lying_evaluator(monkeypatch):
     """A tail evaluator that always reports the intended tail lets noise
-    through that completes extra chains; the model checker rejects them."""
+    through that completes extra chains; the model checker rejects them.
+    C numbers an instance's entities h, z1, z2, t, so its tail is h + 3."""
     rule = synthgen._RULES["C"]
-    lying = rule.el._replace(tails=lambda adj, h: {h[:-1] + "t"})
+    lying = rule.el._replace(tails=lambda adj, h: {h + 3})
     monkeypatch.setitem(synthgen._RULES, "C", rule._replace(el=lying, ql=lying))
     with pytest.raises(KGLogicError, match=r"^instance \d+: .* holds at \["):
         gen_dataset(SynthConfig("C", 20, seed=1))
