@@ -154,19 +154,17 @@ def unravel(
         raise EvaluationError(f"depth must be >= 0, got {depth}")
     store.check_entity(v)
     props = _entity_props(store, resolve_bindings(labeling))
-    names = store.relation_names
-    # by relation name, then head (in_index keeps heads sorted): ids need not
-    # sort like names
-    rids = sorted(range(store.n_relations), key=names.__getitem__)
+    names, n = store.relation_names, store.n_entities
+    heads, rels, offsets = store.in_edges
 
     def build(entity: int, remaining: int) -> UnravelNode:
         children: tuple[tuple[str, UnravelNode], ...] = ()
         if remaining > 0:
-            children = tuple(
-                (names[rid], build(head, remaining - 1))
-                for rid in rids
-                for head in store.in_index.get((rid, entity), ())
-            )
+            # by relation name, then head: ids need not sort like names, and
+            # a tail's in-edges follow the successor lists, not head order
+            lo, hi = offsets[entity], offsets[entity + 1]
+            edges = sorted(zip([names[r // n] for r in rels[lo:hi]], heads[lo:hi]))
+            children = tuple((rel, build(head, remaining - 1)) for rel, head in edges)
         return UnravelNode(entity, props.get(entity, NO_PROPS), children)
 
     return build(v, depth)

@@ -56,13 +56,13 @@ class TripleStore:
     `relation_order` (a repeated name keeps its first place); the name lists
     are read off the id maps once the rows are in.  The one stored adjacency
     is `_succ`: relation id -> head id -> the sorted, distinct tail ids,
-    filled as the rows stream in.  The engine, the checker and EL labeling
-    read it through `successors`; `triples` is a set view of it.  Every other
-    view is derived from it on its first read and cached: `in_edges`, the
-    in-edges grouped by tail that only colour refinement reads; `in_index`,
-    which maps (relation id, tail id) to the sorted head ids pointing at the
-    tail and which `neighbors` and `bisim.unravel` read; and `out_degree[v]`,
-    which EL labeling reads and which counts outgoing triples of `v` over the
+    filled as the rows stream in; the store sorts and deduplicates the
+    groups itself, once they are in.  The engine, the checker and EL
+    labeling read it through `successors`; `triples` is a set view of it.
+    Every other view is derived from it on its first read and cached:
+    `in_edges`, the in-edges grouped by tail, which colour refinement,
+    `neighbors` and `bisim.unravel` read; and `out_degree[v]`, which EL
+    labeling reads and which counts outgoing triples of `v` over the
     original (non-inverse) relations only.
 
     `triples` may be a one-pass iterator.  `preds` is read in full, after
@@ -79,13 +79,11 @@ class TripleStore:
     ):
         # dense ids in first-seen order, the given orders first; interning is
         # inline because this loop runs for every triple of every load
-        entity_ids = self._entity_ids = {
-            e: i for i, e in enumerate(dict.fromkeys(entity_order or ()))
-        }
-        relation_ids = self._relation_ids = {
+        entity_ids = {e: i for i, e in enumerate(dict.fromkeys(entity_order or ()))}
+        relation_ids = {
             r: i for i, r in enumerate(dict.fromkeys(relation_order or ()))
         }
-        succ = self._succ = {r: {} for r in relation_ids.values()}
+        succ = {r: {} for r in relation_ids.values()}
         for head, rel, tail in triples:
             h = entity_ids.get(head)
             if h is None:
@@ -103,38 +101,43 @@ class TripleStore:
                 by_head[h] = [t]
             else:
                 tails.append(t)
-        # most groups hold one tail; only longer ones need sorting and dedup
+        self.preds: dict[str, set[int]] = {}
+        for pred, entity in list(preds):
+            eid = entity_ids.get(entity)
+            if eid is None:
+                raise TripleFileError(
+                    f"predicate {pred!r} references unknown entity {entity!r}"
+                )
+            self.preds.setdefault(pred, set()).add(eid)
+        self._set_adjacency(entity_ids, relation_ids, succ)
+
+    @classmethod
+    def _adopt(cls, entity_names, relation_names, succ) -> TripleStore:
+        """A store without unary facts over the caller's distinct name lists,
+        in id order, and successor lists, which it sorts and deduplicates in
+        place: `succ` has a key per relation id, in id order."""
+        store = cls.__new__(cls)
+        store.preds = {}
+        store._set_adjacency(
+            {e: i for i, e in enumerate(entity_names)},
+            {r: i for i, r in enumerate(relation_names)},
+            succ,
+        )
+        return store
+
+    def _set_adjacency(self, entity_ids, relation_ids, succ) -> None:
+        """Sort and deduplicate `succ`'s tail groups in place and keep them
+        with the id maps; most groups hold one tail and need neither."""
         for by_head in succ.values():
             for tails in by_head.values():
                 if len(tails) > 1:
                     tails.sort()
                     if len(set(tails)) < len(tails):
                         tails[:] = sorted(set(tails))
-        self.triples = _TripleView(succ)
+        self._entity_ids, self._relation_ids = entity_ids, relation_ids
         # a dict keeps insertion order, which is id order
-        self._entity_names = list(entity_ids)
-        self._relation_names = list(relation_ids)
-
-        self.preds: dict[str, set[int]] = {}
-        for pred, entity in list(preds):
-            eid = self._entity_ids.get(entity)
-            if eid is None:
-                raise TripleFileError(
-                    f"predicate {pred!r} references unknown entity {entity!r}"
-                )
-            self.preds.setdefault(pred, set()).add(eid)
-
-    @classmethod
-    def _adopt(cls, entity_names, relation_names, succ) -> TripleStore:
-        """A store without unary facts over the caller's name lists, in id
-        order, and successor lists, taken as they are: `succ` has a key per
-        relation id, in id order, and every tail list is sorted and distinct."""
-        store = cls.__new__(cls)
-        store._entity_names, store._relation_names = entity_names, relation_names
-        store._entity_ids = {e: i for i, e in enumerate(entity_names)}
-        store._relation_ids = {r: i for i, r in enumerate(relation_names)}
-        store._succ, store.triples, store.preds = succ, _TripleView(succ), {}
-        return store
+        self._entity_names, self._relation_names = list(entity_ids), list(relation_ids)
+        self._succ, self.triples = succ, _TripleView(succ)
 
     @cached_property
     def in_edges(self) -> tuple[list[int], list[int], list[int]]:
@@ -158,17 +161,6 @@ class TripleStore:
                     fill[t] = i + 1
                     heads[i], rels[i] = h, rn
         return heads, rels, offsets
-
-    @cached_property
-    def in_index(self) -> dict[tuple[int, int], list[int]]:
-        index: dict[tuple[int, int], list[int]] = {}
-        for r, by_head in self._succ.items():
-            for h, tails in by_head.items():
-                for t in tails:
-                    index.setdefault((r, t), []).append(h)
-        for group in index.values():
-            group.sort()
-        return index
 
     @cached_property
     def out_degree(self) -> dict[int, int]:
@@ -227,7 +219,9 @@ class TripleStore:
         """Heads u with (u, rel, v) in the store (incoming direction)."""
         self.check_entity(v)
         self.check_relation(rel)
-        return set(self.in_index.get((rel, v), ()))
+        heads, rels, offsets = self.in_edges
+        lo, hi, rn = offsets[v], offsets[v + 1], rel * len(self._entity_names)
+        return {h for h, r in zip(heads[lo:hi], rels[lo:hi]) if r == rn}
 
     def successors(self, rel: int, v: int) -> list[int]:
         """Tails t with (v, rel, t) in the store."""

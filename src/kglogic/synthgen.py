@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -94,7 +93,8 @@ class _Adjacency:
     succ[R][v] and pred[R][v] list v's R-successors and R-predecessors in
     the order their edges were added, with set semantics: add skips an edge
     already present and returns whether it added the edge, and remove of an
-    absent edge does nothing.  The shared () marks a missing group.
+    absent edge does nothing.  The shared () marks a missing group.  Readers
+    index succ and pred directly; only add and remove change them.
     created[R] maps the heads of R's successor groups to the groups in
     creation order, which a store reading the kept edges in the order they
     were added gives them; a successor group that remove empties goes back
@@ -141,16 +141,6 @@ class _Adjacency:
             if r in self.pred:  # add made the group if r keeps them
                 self.pred[r][t].remove(h)
 
-    def out(self, r: str, v: int) -> Sequence[int]:
-        return self.succ[r][v]
-
-    def outs(self, r: str, vs) -> set[int]:
-        groups = self.succ[r]
-        return {t for v in vs for t in groups[v]}
-
-    def in_count(self, r: str, v: int) -> int:
-        return len(self.pred[r][v])
-
 
 # Fast tail evaluators: the tails a check's formula holds at from head h,
 # united over all values of its other constants.  They code the rules a third
@@ -163,13 +153,15 @@ class _Adjacency:
 
 
 def _chain_tails(adj: _Adjacency, h: int) -> set[int]:
-    return adj.outs("R3", adj.outs("R2", adj.out("R1", h)))
+    r2, r3 = adj.succ["R2"], adj.succ["R3"]
+    return {t for w1 in adj.succ["R1"][h] for z in r2[w1] for t in r3[z]}
 
 
 def _i_tails(adj: _Adjacency, h: int) -> set[int]:
-    z2s = adj.outs("R2", adj.out("R1", h))
-    hubs = {z for z in z2s if adj.in_count("R4", z) >= 2}
-    return adj.outs("R3", hubs)
+    s, r4_in = adj.succ, adj.pred["R4"]
+    r2, r3 = s["R2"], s["R3"]
+    hubs = {z for w1 in s["R1"][h] for z in r2[w1] if len(r4_in[z]) >= 2}
+    return {t for z in hubs for t in r3[z]}
 
 
 def _u_fork_tails(adj: _Adjacency, h: int) -> set[int]:
@@ -451,8 +443,6 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     n_support = sum(len(inst.support) for inst in instances)
     noise_budget = cfg.noise_triples if cfg.noise_triples is not None else 2 * n_support
     groups = _draw_noise(rng, kind, instances, len(names), noise_budget, checks, walks)
-    for tails in chain.from_iterable(g.values() for g in groups.values()):
-        tails.sort()
     store = TripleStore._adopt(
         names, relations, {i: groups[r] for i, r in enumerate(relations)}
     )

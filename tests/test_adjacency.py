@@ -33,9 +33,9 @@ def test_duplicate_add_changes_nothing():
     for edge in EDGES:
         assert adj.add(*edge) is False
     assert (adj.succ, adj.pred, adj.created) == state
-    assert list(adj.out("R1", A)) == [B, C]
-    assert adj.in_count("R1", B) == 2
-    assert adj.in_count("R2", B) == 1
+    assert list(adj.succ["R1"][A]) == [B, C]
+    assert len(adj.pred["R1"][B]) == 2
+    assert len(adj.pred["R2"][B]) == 1
 
 
 def test_remove_of_an_absent_edge_is_a_no_op():
@@ -53,9 +53,9 @@ def test_add_then_remove_restores_the_neighbour_sets():
     before = _groups(adj)
     for edge in ((A, "R1", D), (B, "R2", A), (Z, "R3", Y), (C, "R1", B)):
         adj.add(*edge)
-        assert edge[2] in adj.out(edge[1], edge[0])
+        assert edge[2] in adj.succ[edge[1]][edge[0]]
         adj.remove(*edge)
-        assert edge[2] not in adj.out(edge[1], edge[0])
+        assert edge[2] not in adj.succ[edge[1]][edge[0]]
         assert _groups(adj) == before
 
 
@@ -63,22 +63,23 @@ def test_out_of_an_unknown_key_is_empty_and_stays_empty():
     """A head without a group, and a relation without edges, read as empty,
     and a group made later does not show through what they returned."""
     adj = _adjacency()
-    unknown_entity = adj.out("R1", Z)
-    unknown_relation = adj.out("R4", A)
+    unknown_entity = adj.succ["R1"][Z]
+    unknown_relation = adj.succ["R4"][A]
     assert len(unknown_entity) == 0 and len(unknown_relation) == 0
     adj.add(Z, "R1", A)
     adj.add(A, "R4", B)
     assert len(unknown_entity) == 0 and len(unknown_relation) == 0
-    assert list(adj.out("R1", Z)) == [A]
-    assert list(adj.out("R4", A)) == [B]
-    assert adj.outs("R3", [Z, Y]) == set()
-    assert adj.in_count("R3", Z) == 0
+    assert list(adj.succ["R1"][Z]) == [A]
+    assert list(adj.succ["R4"][A]) == [B]
+    assert {t for v in (Z, Y) for t in adj.succ["R3"][v]} == set()
+    assert len(adj.pred["R3"][Z]) == 0
 
 
 def test_random_adds_and_removes_equal_a_triple_set():
-    """out, outs and in_count equal a plain triple set's under random adds
-    and removes, duplicates and absent edges included, and `created` holds
-    each non-empty successor group, in the order the groups were created."""
+    """Successor groups, their unions and predecessor counts equal a plain
+    triple set's under random adds and removes, duplicates and absent edges
+    included, and `created` holds each non-empty successor group, in the
+    order the groups were created."""
     rng = random.Random(11)
     names = list(range(6))
     for _ in range(50):
@@ -97,14 +98,14 @@ def test_random_adds_and_removes_equal_a_triple_set():
                     created.pop(group, None)
         for r in RELATIONS:
             for v in names:
-                out = adj.out(r, v)
+                out = adj.succ[r][v]
                 assert len(out) == len(set(out))
                 assert set(out) == {t for h, s, t in triples if (h, s) == (v, r)}
-                assert adj.in_count(r, v) == sum(
+                assert len(adj.pred[r][v]) == sum(
                     (s, t) == (r, v) for _, s, t in triples
                 )
-            assert adj.outs(r, names[:3]) == {
+            assert {u for v in names[:3] for u in adj.succ[r][v]} == {
                 t for h, s, t in triples if s == r and h in names[:3]
             }
             assert list(adj.created[r]) == [h for h, s in created if s == r]
-            assert all(adj.created[r][h] is adj.out(r, h) for h in adj.created[r])
+            assert all(adj.created[r][h] is adj.succ[r][h] for h in adj.created[r])

@@ -29,7 +29,7 @@ def test_every_changed_head_is_affected(check):
         before = {v: check.tails(adj, v) for v in ids}
         for _ in range(10):
             u, rel, w = rng.choice(ids), rng.choice(RELATIONS), rng.choice(ids)
-            if w in adj.out(rel, u):
+            if w in adj.succ[rel][u]:
                 continue
             adj.add(u, rel, w)
             affected = _affected_heads(adj, (u, w), heads, walks.get(rel, ()))

@@ -94,6 +94,18 @@ def test_unravel_children_sorted_by_relation_name():
     ]
 
 
+def test_unravel_children_ascend_by_head_within_a_relation():
+    # t's in-edges follow the successor lists, which hold w (2) before x (1)
+    store = load_store("y\tR2\tx\nw\tR1\tt\nx\tR1\tt")
+    x, w, t = (store.entity_id(e) for e in "xwt")
+    heads, _rels, offsets = store.in_edges
+    assert heads[offsets[t]:offsets[t + 1]] == [w, x] == [2, 1]
+    tree = unravel(store, t, 1)
+    assert [(rel, child.entity) for rel, child in tree.children] == [
+        ("R1", 1), ("R1", 2),
+    ]
+
+
 def test_unravel_depth_bound():
     store = load_store("a\tR1\ta")  # self-loop unrolls
     tree = unravel(store, 0, 4)

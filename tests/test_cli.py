@@ -225,3 +225,27 @@ def test_gen_leaves_no_garbage_that_grows_with_the_input(tmp_path, capsys):
         finally:
             gc.enable()
     assert found[1] <= found[0], found
+
+
+def test_commands_leave_no_garbage_once_the_parser_is_built(tmp_path, capsys):
+    """After one command has built the argument parser, gen, run --data and
+    bisim each leave nothing for `gc.collect()` to find."""
+    data = tmp_path / "data"
+    commands = {
+        "gen": ["gen", "--relation", "U", "--decoys", "--instances", "20",
+                "--out", str(data)],
+        "run": ["run", "--data", str(data), "--labeling", "el"],
+        "bisim": ["bisim", "--kg", str(data / "triples.tsv"), "--rounds", "3"],
+    }
+    assert main(["gen", "--relation", "C", "--instances", "2",
+                 "--out", str(tmp_path / "warm-up")]) == 0
+    found = {}
+    for name, argv in commands.items():
+        gc.collect()
+        gc.disable()  # so that no automatic pass runs before the count
+        try:
+            assert main(argv) == 0
+            found[name] = gc.collect()
+        finally:
+            gc.enable()
+    assert found == {"gen": 0, "run": 0, "bisim": 0}

@@ -35,6 +35,13 @@ def test_load_dedup():
     assert len(store.triples) == 1
 
 
+def test_adopted_store_sorts_and_dedups_its_groups():
+    store = TripleStore._adopt(["a", "b", "c"], ["R"], {0: {0: [2, 1, 2]}})
+    assert store.successors(0, 0) == [1, 2]
+    assert store.triples == {(0, 0, 1), (0, 0, 2)}
+    assert store.entity_id("c") == 2 and store.relation_name(0) == "R"
+
+
 def test_triples_act_as_a_set():
     store = load_store("a\tR1\tb\na\tR1\tc\nb\tR2\ta\na\tR1\tb")
     a, b, c = (store.entity_id(e) for e in "abc")
@@ -157,15 +164,11 @@ def test_out_degree_counts_outgoing():
 
 
 def _check_index(store: TripleStore, index: str, degrees: dict) -> None:
-    if index == "in_index":
-        rebuilt = {}
-        for h, r, t in sorted(store.triples):
-            rebuilt.setdefault((r, t), []).append(h)
-        assert rebuilt == store.in_index
-        for (r, t), heads in store.in_index.items():
-            assert heads == sorted(heads)
-            for h in heads:
-                assert (h, r, t) in store.triples
+    if index == "neighbors":
+        for r in range(store.n_relations):
+            for t in range(store.n_entities):
+                heads = {h for h, r2, t2 in store.triples if (r2, t2) == (r, t)}
+                assert store.neighbors(t, r) == heads
     elif index == "successors":
         for r in range(store.n_relations):
             for h in range(store.n_entities):
@@ -175,9 +178,9 @@ def _check_index(store: TripleStore, index: str, degrees: dict) -> None:
         assert store.out_degree == degrees
 
 
-def test_in_index_mirrors_triples():
-    # each lazily built index, on a fresh store and after another was read
-    indices = ("in_index", "successors", "out_degree")
+def test_lazy_views_mirror_triples():
+    # each lazily built view, on a fresh store and after another was read
+    indices = ("neighbors", "successors", "out_degree")
     rng = random.Random(7)
     shuffler = random.Random(8)  # apart from rng, so the stores drawn stay the same
     for _ in range(25):
