@@ -20,10 +20,10 @@ from .formulas import (
     Const,
     Diamond,
     FormulaArena,
+    Node,
     Not,
     Pred,
     Top,
-    enumerate_subformulas,
     format_formula,
     format_subformulas,
 )
@@ -84,7 +84,7 @@ class _ColumnTexts(Sequence[str]):
     Iterating prints every column at once, joining each text from its
     children's."""
 
-    def __init__(self, arena: FormulaArena, order: list[int]):
+    def __init__(self, arena: FormulaArena, order: tuple[tuple[int, Node], ...]):
         self._arena = arena
         self._order = order
 
@@ -92,25 +92,24 @@ class _ColumnTexts(Sequence[str]):
         return len(self._order)
 
     def __getitem__(self, col: int) -> str:
-        return format_formula(self._arena, self._order[col])
+        return format_formula(self._arena, self._order[col][0])
 
     def __iter__(self) -> Iterator[str]:
         # the root is the last column
-        yield from format_subformulas(self._arena, self._order[-1]).values()
+        yield from format_subformulas(self._arena, self._order[-1][0]).values()
 
 
 def compile_formula(arena: FormulaArena, root: int) -> CompiledNet:
     """Build the network for `root`; a pure function of the hash-consed arena."""
-    order = enumerate_subformulas(arena, root)
+    order = arena.subformulas(root)
     dim = len(order)
-    col_of = {fid: i for i, fid in enumerate(order)}
+    col_of = {fid: i for i, (fid, _) in enumerate(order)}
     inputs: list[list[Wire]] = []
     bias = [0] * dim
     atoms: dict[int, tuple[str, Optional[str]]] = {}
     column_cases = [0] * dim
 
-    for col, fid in enumerate(order):
-        node = arena.node(fid)
+    for col, (_, node) in enumerate(order):
         if isinstance(node, (Top, Pred, Const)):
             wires = [(None, col, 1)]
             if isinstance(node, Top):

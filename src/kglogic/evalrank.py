@@ -32,6 +32,8 @@ DEFAULT_ERA_PAIR = ("top", "top", "and")
 # lanes than this runs alone.  Sized above the 3,600-4,300 lanes of a
 # 600-instance U test split in el mode, so that split runs in one pass.
 PASS_LANES = 8192
+# the k of every hit@k that ranking reports
+K_LIST = (1, 10)
 
 
 def score_query(
@@ -54,33 +56,32 @@ def score_query(
     """
     if labeling_mode not in LABELING_MODES:
         raise EvaluationError(f"unknown labeling mode {labeling_mode!r}")
-    h, _rel = query
-    store.check_entity(h)
-
-    if labeling_mode == "none":
-        positives = _era_positives(store, arena, formula, era_pair, [h])[0]
-    else:
-        positives = score_queries(store, arena, formula, labeling_mode, d, [query])[0]
-    return _dense(positives, store.n_entities)
+    store.check_entity(query[0])
+    positives = _positives(store, arena, formula, labeling_mode, d, [query], era_pair)
+    return _dense(positives[0], store.n_entities)
 
 
 def _dense(positives: set[int], n: int) -> list[int]:
     return [1 if v in positives else 0 for v in range(n)]
 
 
-def _era_positives(
+def _positives(
     store: TripleStore,
     arena: FormulaArena,
     formula: Optional[int],
+    labeling_mode: str,
+    d: int,
+    queries: Sequence[tuple[int, str]],
     era_pair: Optional[tuple[int, int, str]],
-    heads: Iterable[int],
 ) -> list[set[int]]:
-    """score_query's `none` mode for each head, as positive sets.
+    """The entities scoring 1 for each query (h, relation) under one mode.
 
-    Both sentences are model-checked once, even for no heads, so that an
-    invalid pair fails alike on every split; heads on the same side of g1
-    share one positive set.
+    The labeled modes are score_queries.  In `none` mode both sentences are
+    model-checked once, even for no queries, so that an invalid pair fails
+    alike on every split; heads on the same side of g1 share one positive set.
     """
+    if labeling_mode != "none":
+        return score_queries(store, arena, formula, labeling_mode, d, queries)
     if formula is not None and constants_in(arena, formula):
         raise EvaluationError(
             "constant-bearing formula requires query or el labeling"
@@ -96,7 +97,7 @@ def _era_positives(
         {t for t in range(store.n_entities) if combine(b1, 1 if t in g2_row else 0)}
         for b1 in (0, 1)
     ]
-    return [sides[1 if h in g1_row else 0] for h in heads]
+    return [sides[1 if h in g1_row else 0] for h, _rel in queries]
 
 
 def score_queries(
@@ -181,7 +182,7 @@ def rank_metrics(
     scores: Sequence,
     target: int,
     known_true: set[int],
-    k_list: Sequence[int] = (1, 10),
+    k_list: Sequence[int] = K_LIST,
 ) -> dict:
     """Filtered expected-rank metrics for one query.
 
@@ -270,7 +271,6 @@ class RankReport:
     mode: str
     degree: int
     formula_text: str
-    k_list: tuple[int, ...]
     queries: list[dict] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -288,12 +288,12 @@ class RankReport:
         lines = [f"# mode={self.mode} degree={self.degree} formula={self.formula_text}"]
         for key in sorted(self.metadata):
             lines.append(f"# {key}={self.metadata[key]}")
-        for k in self.k_list:
+        for k in K_LIST:
             lines.append(f"metric\thit@{k}\t{self.hit_at(k)!r}")
         lines.append(f"metric\tmrr\t{self.mrr()!r}")
         lines.append(f"metric\tqueries\t{len(self.queries)}")
         for q in self.queries:
-            hit_cells = "\t".join(f"{q['hits'][k]!r}" for k in self.k_list)
+            hit_cells = "\t".join(f"{q['hits'][k]!r}" for k in K_LIST)
             lines.append(
                 f"query\t{q['h']}\t{q['rel']}\t{q['t']}\t{q['rank']!r}\t"
                 f"{hit_cells}\t{q['rr']!r}"
@@ -313,31 +313,26 @@ def evaluate_queries(
     test_targets: Sequence[tuple[str, str, str]],
     all_targets: Sequence[tuple[str, str, str]],
     era_pair: Optional[tuple[int, int, str]] = None,
-    k_list: tuple[int, ...] = (1, 10),
 ) -> RankReport:
     """Rank the test targets with the filtered protocol."""
     if mode not in MODE_TO_LABELING:
         raise EvaluationError(f"unknown mode {mode!r}")
-    labeling_mode = MODE_TO_LABELING[mode]
     known: dict[tuple[str, str], set[int]] = {}
     for h, r, t in all_targets:
         known.setdefault((h, r), set()).add(store.entity_id(t))
     formula_text = format_formula(arena, formula) if formula is not None else "-"
-    report = RankReport(mode=mode, degree=d, formula_text=formula_text, k_list=k_list)
+    report = RankReport(mode=mode, degree=d, formula_text=formula_text)
     queries = [(store.entity_id(h), r) for h, r, _ in test_targets]
-    if labeling_mode == "none":
-        all_positives = _era_positives(
-            store, arena, formula, era_pair, [h for h, _rel in queries]
-        )
-    else:
-        all_positives = score_queries(store, arena, formula, labeling_mode, d, queries)
+    all_positives = _positives(
+        store, arena, formula, MODE_TO_LABELING[mode], d, queries, era_pair
+    )
     # era queries on one side of g1 share one (better, tied) pair, and its
     # O(tied) reciprocal-rank sum is done once per call
     rr_memo: dict[tuple[int, int], float] = {}
     for (h, r, t), positives in zip(test_targets, all_positives):
         known_true = known.get((h, r), set())
         entry = _sparse_metrics(
-            positives, store.entity_id(t), known_true, store.n_entities, k_list,
+            positives, store.entity_id(t), known_true, store.n_entities, K_LIST,
             rr_memo,
         )
         entry.update({"h": h, "rel": r, "t": t})

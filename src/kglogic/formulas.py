@@ -102,7 +102,8 @@ class FormulaArena:
 
     def subformulas(self, root: int) -> tuple[tuple[int, Node], ...]:
         """(id, node) per distinct subformula of `root`, children first; kept
-        per root, as nodes are never changed or removed."""
+        per root, as nodes are never changed or removed.  Every formula
+        reader (checker, compiler, printer, analyses) takes this order."""
         self.check(root)
         if root not in self._orders:
             self._orders[root] = tuple(
@@ -229,11 +230,14 @@ class _Parser:
             raise FormulaSyntaxError("expected '=' after relation", self.pos)
         self.pos += 1
         numstart = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == numstart:
             raise FormulaSyntaxError("expected count after '='", numstart)
-        count = int(self.text[numstart : self.pos])
+        try:
+            count = int(self.text[numstart : self.pos])
+        except ValueError:  # more digits than int() converts
+            raise FormulaSyntaxError("count has too many digits", numstart) from None
         if count < 1:
             raise FormulaSyntaxError("count must be at least 1", numstart)
         return self.arena.diamond(count, relation, self._nested())
@@ -298,10 +302,8 @@ def format_subformulas(arena: FormulaArena, root: int) -> dict[int, str]:
     """Text of every subformula of `root`, keyed by id in topological order;
     each text is joined from its children's, in time linear in the texts."""
     text: dict[int, str] = {}
-    for fid in enumerate_subformulas(arena, root):
-        text[fid] = "".join(
-            p if isinstance(p, str) else text[p] for p in _layout(arena.node(fid))
-        )
+    for fid, node in arena.subformulas(root):
+        text[fid] = "".join(p if isinstance(p, str) else text[p] for p in _layout(node))
     return text
 
 
@@ -332,8 +334,7 @@ def enumerate_subformulas(arena: FormulaArena, root: int) -> list[int]:
 def _longest_path(arena: FormulaArena, root: int, counted) -> int:
     # the most nodes satisfying `counted` on one root-to-leaf path
     depth: dict[int, int] = {}
-    for fid in enumerate_subformulas(arena, root):
-        node = arena.node(fid)
+    for fid, node in arena.subformulas(root):
         inner = max((depth[k] for k in _children(node)), default=0)
         depth[fid] = inner + 1 if counted(node) else inner
     return depth[root]
@@ -345,26 +346,15 @@ def diamond_depth(arena: FormulaArena, root: int) -> int:
 
 
 def constants_in(arena: FormulaArena, root: int) -> set[str]:
-    return {
-        arena.node(fid).name
-        for fid in enumerate_subformulas(arena, root)
-        if isinstance(arena.node(fid), Const)
-    }
+    return {n.name for _, n in arena.subformulas(root) if isinstance(n, Const)}
 
 
 def relations_in(arena: FormulaArena, root: int) -> set[str]:
-    return {
-        arena.node(fid).relation
-        for fid in enumerate_subformulas(arena, root)
-        if isinstance(arena.node(fid), Diamond)
-    }
+    return {n.relation for _, n in arena.subformulas(root) if isinstance(n, Diamond)}
 
 
 def is_negation_free(arena: FormulaArena, root: int) -> bool:
-    return not any(
-        isinstance(arena.node(fid), Not)
-        for fid in enumerate_subformulas(arena, root)
-    )
+    return not any(isinstance(n, Not) for _, n in arena.subformulas(root))
 
 
 # Canonical rule texts over relations R1..R5.  C is a three-hop chain from the

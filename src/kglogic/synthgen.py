@@ -28,7 +28,7 @@ from .checker import model_check
 from .errors import EvaluationError, KGLogicError, TripleFileError
 from .formulas import (
     CHAIN_TEXT, I_TEXT, UPRIME_TEXT, And, Const, Diamond, FormulaArena, Pred, Top,
-    enumerate_subformulas, parse,
+    parse,
 )
 from .labeling import QUERY_CONSTANT
 from .store import TripleStore, load_store, parse_tsv, read_text, write_files
@@ -304,11 +304,8 @@ def _back_walks(
     def add(relation, end, paths):
         walks.setdefault(relation, set()).update((end, p[::-1]) for p in paths)
 
-    subformulas = set()
-    for root in roots:
-        subformulas.update(enumerate_subformulas(arena, root))
-    for fid in sorted(subformulas):
-        node = arena.node(fid)
+    nodes = dict(pair for root in roots for pair in arena.subformulas(root))
+    for fid, node in sorted(nodes.items()):
         if isinstance(node, Const) and node.name == head:
             anchor[fid] = frozenset({()})
         elif isinstance(node, (Top, Pred, Const)):
@@ -325,7 +322,7 @@ def _back_walks(
                 anchor[fid] = anchor[anchored[0]]
                 for side in sides:
                     if side in counts:
-                        add(arena.node(side).relation, "w", anchor[anchored[0]])
+                        add(nodes[side].relation, "w", anchor[anchored[0]])
             elif all(s in edge_free for s in sides):
                 edge_free.add(fid)
             else:
@@ -512,7 +509,9 @@ def write_dataset(dataset: SynthDataset, outdir) -> None:
 
 
 def load_dataset(datadir) -> SynthDataset:
-    """Read a directory produced by write_dataset."""
+    """Read a directory produced by write_dataset.  Each count that gen
+    recorded in config.txt (entities, support plus noise triples, instances)
+    must match the files, when config.txt has its keys."""
     path = Path(datadir)
     store = load_store(read_text(path / "triples.tsv"))
     targets: list[tuple[str, str, str, str]] = []
@@ -535,6 +534,18 @@ def load_dataset(datadir) -> SynthDataset:
                 "entities"):
         if key in config:
             config[key] = _int_field("config.txt", key, config[key])
+    found = {
+        ("entities",): store.n_entities,
+        ("support_triples", "noise_triples"): len(store.triples),
+        ("instances",): len({idx for idx, _, _ in ground}),
+    }
+    for keys, count in found.items():
+        recorded = sum(config.get(k, 0) for k in keys)
+        if all(k in config for k in keys) and recorded != count:
+            raise TripleFileError(
+                f"config.txt: {' + '.join(keys)} is {recorded}, "
+                f"but the dataset has {count}"
+            )
     return SynthDataset(store, targets, ground, config)
 
 

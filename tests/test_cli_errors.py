@@ -45,6 +45,14 @@ def test_corrupt_config_integer_is_data_error(tmp_path, capsys):
     _assert_one_line_error(capsys, code)
 
 
+def test_check_malformed_diamond_count(tmp_path, capsys):
+    kg, formula = tmp_path / "k.tsv", tmp_path / "f.cml"
+    kg.write_text("a\tR1\tb\n")
+    formula.write_text("<R1>=\u00b2 top\n", encoding="utf-8")
+    code = main(["check", "--kg", str(kg), "--formula", str(formula)])
+    _assert_one_line_error(capsys, code)
+
+
 def test_run_kg_without_formula(tmp_path, capsys):
     kg = tmp_path / "k.tsv"
     kg.write_text("a\tR1\tb\n")

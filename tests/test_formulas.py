@@ -73,6 +73,9 @@ def test_parse_disjunction_sugar():
         "top extra",
         "(P(a) ? P(b))",
         "<>=1 top",
+        "<R1>=\u00b2 top",
+        "<R1>=\u0663 top",
+        pytest.param("<R1>=" + "9" * 5000 + " top", id="count-of-5000-digits"),
     ],
 )
 def test_parse_errors_carry_position(text):
