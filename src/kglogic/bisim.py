@@ -7,7 +7,6 @@ apart by any counting-modal formula of matching depth over the same labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import add
 from typing import Hashable
@@ -17,11 +16,11 @@ from .errors import EvaluationError
 from .store import TripleStore
 
 
-@dataclass
 class ColorMap:
     """Per-round color assignment; colors are dense ids stable across runs."""
 
-    rounds: list[list[int]]
+    def __init__(self, rounds: list[list[int]]):
+        self.rounds = rounds
 
     def colors(self, rnd: int) -> list[int]:
         return self.rounds[rnd]
@@ -33,13 +32,12 @@ class ColorMap:
         return {c: tuple(vs) for c, vs in groups.items()}
 
 
-@dataclass
 class UnravelNode:
     """One node of an unraveling tree; children follow incoming edges."""
 
-    entity: int
-    props: tuple
-    children: tuple[tuple[str, "UnravelNode"], ...]
+    def __init__(self, entity: int, props: tuple, children: tuple):
+        self.entity, self.props = entity, props
+        self.children: tuple[tuple[str, UnravelNode], ...] = children
 
     def depth(self) -> int:
         if not self.children:

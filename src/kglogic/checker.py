@@ -6,7 +6,6 @@ at v when at least N heads u with (u, R, v) in the store satisfy f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import EvaluationError
@@ -24,11 +23,11 @@ from .formulas import (
 from .store import TripleStore
 
 
-@dataclass
 class OpCounter:
     """Counts elementary bit operations performed by model_check."""
 
-    ops: int = 0
+    def __init__(self, ops: int = 0):
+        self.ops = ops
 
 
 class TruthTable:

@@ -7,6 +7,8 @@ first byte, so a failing command leaves no output file.  Output files are
 UTF-8 whatever the locale (`store.write_files`), so only stdout's encoding can
 reject output text.  Output is written as a sequence of text chunks: `bisim`,
 the largest, writes one round at a time and never builds its whole text.
+The other commands import the compiler, engine, ranking and bisim modules that
+`gen` and `check` do not run, so those two start without them.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .bisim import color_refine
 from .checker import COMBINATORS, model_check
-from .compiler import compile_formula, explain, net_to_text
-from .engine import forward, init_features, readout
 from .errors import KGLogicError
-from .evalrank import DEFAULT_ERA_PAIR, LABELING_MODES, MODE_TO_LABELING
-from .evalrank import run_dataset, table2_run
 from .formulas import FormulaArena, parse
-from .labeling import QUERY_CONSTANT, Labeling, el_label, query_label
+from .labeling import DEFAULT_ERA_PAIR, LABELING_MODES, MODE_TO_LABELING, QUERY_CONSTANT
+from .labeling import Labeling, el_label, query_label
 from .store import TripleStore, load_store, read_text, write_files
 from .synthgen import (
     SUPPORT_RELATIONS, SynthConfig, gen_dataset, load_dataset, write_dataset,
@@ -141,6 +139,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from .compiler import compile_formula, explain, net_to_text
     arena = FormulaArena()
     root = parse(read_text(args.formula).strip(), arena)
     net = compile_formula(arena, root)
@@ -168,6 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if (args.data is None) == (args.kg is None):
         raise KGLogicError("run needs exactly one of --data or --kg")
     if args.data is not None:
+        from .evalrank import table2_run
         mode = {lab: m for m, lab in MODE_TO_LABELING.items()}[args.labeling]
         era_pair = (args.era_g1, args.era_g2, args.era_comb)
         report = table2_run(args.data, mode, args.degree, era_pair)
@@ -176,6 +176,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 0
     if args.formula is None:
         raise KGLogicError("run --kg needs --formula")
+    from .compiler import compile_formula
+    from .engine import forward, init_features, readout
     store = _load_kg(args)
     arena = FormulaArena()
     root = parse(read_text(args.formula).strip(), arena)
@@ -188,6 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bisim(args: argparse.Namespace) -> int:
+    from .bisim import color_refine
     store = _load_kg(args)
     bindings = _parse_bind(store, args.bind)
     lab = _labeling_for(args, store, bindings)
@@ -215,6 +218,7 @@ def _bisim_chunks(
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .evalrank import run_dataset
     lines = [_echo_header(args, skip=("out",)).rstrip("\n")]
     lines.append("\t".join(("relation", *MODE_TO_LABELING)))
     for datadir in args.data:

@@ -22,12 +22,11 @@ from .compiler import CompiledNet, compile_formula
 from .engine import forward_lanes
 from .errors import EvaluationError
 from .formulas import FormulaArena, constants_in, diamond_depth, format_formula, parse
-from .labeling import QUERY_CONSTANT, Labeling, check_degree, el_label, ground_queries
+from .labeling import DEFAULT_ERA_PAIR, LABELING_MODES, MODE_TO_LABELING, QUERY_CONSTANT
+from .labeling import Labeling, check_degree, el_label, ground_queries
 from .store import TripleStore
 from .synthgen import SUPPORT_RELATIONS, SynthDataset, load_dataset, rule_text
 
-LABELING_MODES = ("none", "query", "el")
-DEFAULT_ERA_PAIR = ("top", "top", "and")
 # lanes per engine pass; a query's lanes share one pass, so a query with more
 # lanes than this runs alone.  Sized above the 3,600-4,300 lanes of a
 # 600-instance U test split in el mode, so that split runs in one pass.
@@ -299,9 +298,6 @@ class RankReport:
                 f"{hit_cells}\t{q['rr']!r}"
             )
         return "\n".join(lines) + "\n"
-
-
-MODE_TO_LABELING = {"era": "none", "ql": "query", "el": "el"}
 
 
 def evaluate_queries(

@@ -20,43 +20,43 @@ and parses back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EvaluationError, FormulaSyntaxError
 
 
-@dataclass(frozen=True)
-class Top:
+class Top(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Pred:
+class Pred(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     sub: int
 
 
-@dataclass(frozen=True)
-class And:
+class And(NamedTuple):
     left: int
     right: int
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(NamedTuple):
     count: int
     relation: str
     sub: int
 
+
+# A node equals only nodes of its own kind (Pred("x") != Const("x"), Top()
+# != ()), so the arena interns each kind apart; hashes stay the fields' tuple's.
+for _kind in (Top, Pred, Const, Not, And, Diamond):
+    _kind.__eq__ = lambda a, b: type(b) is type(a) and tuple.__eq__(a, b)
+    _kind.__ne__ = lambda a, b: not a == b
 
 Node = Top | Pred | Const | Not | And | Diamond
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Iterable, Iterator, Optional
 
@@ -10,9 +9,12 @@ from .errors import EvaluationError
 from .store import TripleStore
 
 QUERY_CONSTANT = "h"
+LABELING_MODES = ("none", "query", "el")
+# ranking mode -> the labeling it scores under
+MODE_TO_LABELING = {"era": "none", "ql": "query", "el": "el"}
+DEFAULT_ERA_PAIR = ("top", "top", "and")
 
 
-@dataclass
 class Labeling:
     """Map from constant names to entities, with the origin of each binding.
 
@@ -21,8 +23,9 @@ class Labeling:
     gets its own constant name.
     """
 
-    bindings: dict[str, int] = field(default_factory=dict)
-    origin: dict[str, str] = field(default_factory=dict)
+    def __init__(self, bindings: Optional[dict] = None, origin: Optional[dict] = None):
+        self.bindings: dict[str, int] = {} if bindings is None else bindings
+        self.origin: dict[str, str] = {} if origin is None else origin
 
     def el_entities(self) -> list[int]:
         return sorted(

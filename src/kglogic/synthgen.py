@@ -20,7 +20,6 @@ the intended ones.  Generation is deterministic in the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -40,8 +39,7 @@ U_QUERY_ONLY_TEXT = "(<R4>=1 <R2>=1 <R1>=1 @h & <R5>=1 <R3>=1 <R1>=1 @h)"
 _MAX_ATTEMPTS_PER_NOISE = 200
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(NamedTuple):
     relation_kind: str
     n_instances: int = 100
     noise_triples: Optional[int] = None  # None: twice the support count
@@ -68,20 +66,24 @@ class SynthConfig:
             raise EvaluationError(f"relation {self.relation_kind} has no decoys")
 
 
-@dataclass
 class _Instance:
-    index: int
-    roles: dict[str, int]  # role -> entity id, in template (noise pool) order
-    support: list[tuple[int, str, int]]
-    expected: tuple[set[int], ...]  # per check: the only tails it may hold at
+    def __init__(
+        self, index: int, roles: dict[str, int], support: list[tuple[int, str, int]],
+        expected: tuple[set[int], ...],
+    ):
+        self.index, self.support = index, support
+        self.roles = roles  # role -> entity id, in template (noise pool) order
+        self.expected = expected  # per check: the only tails it may hold at
 
 
-@dataclass
 class SynthDataset:
-    store: TripleStore
-    targets: list[tuple[str, str, str, str]]  # (head, relation, tail, split)
-    ground: list[tuple[int, str, str]]  # (instance, entity, role)
-    config: dict = field(default_factory=dict)
+    def __init__(
+        self, store: TripleStore, targets: list[tuple[str, str, str, str]],
+        ground: list[tuple[int, str, str]], config: Optional[dict] = None,
+    ):
+        # targets: (head, relation, tail, split); ground: (instance, entity, role)
+        self.store, self.targets, self.ground = store, targets, ground
+        self.config = {} if config is None else config
 
     def targets_for(self, split: str) -> list[tuple[str, str, str]]:
         return [(h, r, t) for h, r, t, s in self.targets if s == split]
@@ -525,10 +527,13 @@ def load_dataset(datadir) -> SynthDataset:
         for idx, e, role in ground_rows
     ]
     config: dict = {}
-    for line in read_text(path / "config.txt").split("\n"):
+    for lineno, line in enumerate(read_text(path / "config.txt").split("\n"), 1):
         if not line:
             continue
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
+        if not sep or key in config:
+            fault = f"repeats key {key!r}" if sep else "has no '='"
+            raise TripleFileError(f"config.txt line {lineno}: {line!r} {fault}")
         config[key] = value
     for key in ("instances", "noise_triples", "seed", "decoys", "support_triples",
                 "entities"):

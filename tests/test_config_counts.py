@@ -78,3 +78,27 @@ def test_dataset_without_counts_still_runs(tmp_path, capsys):
     assert main(["run", "--data", str(data), "--labeling", "query"]) == 0
     out = capsys.readouterr().out
     assert "metric\thit@1\t1.0\n" in out and "metric\tqueries\t1\n" in out
+
+
+@pytest.mark.parametrize(
+    "line, fault",
+    [("garbage", "has no '='"), ("seed=4", "repeats key 'seed'")],
+)
+def test_malformed_config_line_is_one_line_data_error(
+    tmp_path, capsys, udata, line, fault
+):
+    data = tmp_path / "copy"
+    data.mkdir()
+    for path in udata.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    text = (udata / "config.txt").read_text() + line + "\n"
+    (data / "config.txt").write_text(text)
+    lineno = text.count("\n")
+    capsys.readouterr()
+    modes = ("none", "query", "el")
+    runs = [["run", "--data", str(data), "--labeling", mode] for mode in modes]
+    for argv in [*runs, ["report", "--data", str(data)]]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"kglogic {argv[0]}: error: config.txt line {lineno}: {line!r} {fault}\n"
+        )
