@@ -20,6 +20,8 @@ the intended ones.  Generation is deterministic in the seed.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -62,7 +64,7 @@ class SynthConfig(NamedTuple):
             raise EvaluationError("split must be three non-negative fractions")
         if not abs(sum(self.split) - 1.0) <= 1e-9:
             raise EvaluationError("split fractions must sum to 1")
-        if self.decoys and not _RULES[self.relation_kind].decoy[0]:
+        if (self.relation_kind, self.decoys) not in _TEMPLATES:
             raise EvaluationError(f"relation {self.relation_kind} has no decoys")
 
 
@@ -240,10 +242,23 @@ _RULES = {
     ),
 }
 
-SUPPORT_RELATIONS = {
-    kind: tuple(sorted({r for _, r, _ in rule.edges + rule.decoy[1]}))
-    for kind, rule in _RULES.items()
+# Per (kind, decoys): one instance's (roles, edges), with the decoy twin's
+# appended when decoys is True, a key only a kind with a twin has.
+_TEMPLATES = {
+    (kind, d): (rule.roles + rule.decoy[0] * d, rule.edges + rule.decoy[1] * d)
+    for kind, rule in _RULES.items() for d in (False, True) if rule.decoy[0] or not d
 }
+SUPPORT_RELATIONS = {  # from each kind's last, largest template
+    kind: tuple(sorted({r for _, r, _ in edges}))
+    for (kind, _), (_, edges) in _TEMPLATES.items()
+}
+# The dataset directory: triples.tsv, targets_<split>.tsv per split, ground.tsv
+# (each instance's template roles) and config.txt, whose keys gen writes in
+# this order; all but _TEXT_KEYS are ints.
+SPLITS = ("train", "valid", "test")
+_CONFIG_KEYS = ("decoys", "entities", "instances", "noise_triples", "relation",
+                "seed", "split", "support_triples")
+_TEXT_KEYS = ("relation", "split")
 
 
 def rule_text(kind: str, mode: str) -> str:
@@ -257,10 +272,7 @@ def _build_instances(cfg: SynthConfig, checks):
     reads the support rows in turn, head then tail.  Every role lies on a
     support edge, and every relation noise draws labels one (tests pin both)."""
     kind, n = cfg.relation_kind, cfg.n_instances
-    rule = _RULES[kind]
-    roles, edges = rule.roles, rule.edges
-    if cfg.decoys:
-        roles, edges = roles + rule.decoy[0], edges + rule.decoy[1]
+    roles, edges = _TEMPLATES[kind, cfg.decoys]
     suffixes = list(dict.fromkeys(e for u, _, w in edges for e in (u, w)))
     instances, names = [], []
     for index in range(n):
@@ -456,22 +468,15 @@ def gen_dataset(cfg: SynthConfig) -> SynthDataset:
     n_valid = round(cfg.split[1] * cfg.n_instances)
     targets: list[tuple[str, str, str, str]] = []
     for pos, idx in enumerate(order):
-        split = "train" if pos < n_train else (
-            "valid" if pos < n_train + n_valid else "test"
-        )
+        split = SPLITS[(pos >= n_train) + (pos >= n_train + n_valid)]
         roles = instances[idx].roles
         targets.append((names[roles["head"]], kind, names[roles["tail"]], split))
 
-    config = {
-        "relation": kind,
-        "instances": cfg.n_instances,
-        "noise_triples": noise_budget,
-        "seed": cfg.seed,
-        "split": ",".join(repr(f) for f in cfg.split),
-        "decoys": int(cfg.decoys),
-        "support_triples": n_support,
-        "entities": store.n_entities,
-    }
+    config = dict(  # the _CONFIG_KEYS, in order
+        decoys=int(cfg.decoys), entities=store.n_entities, instances=cfg.n_instances,
+        noise_triples=noise_budget, relation=kind, seed=cfg.seed,
+        split=",".join(repr(f) for f in cfg.split), support_triples=n_support,
+    )
     _verify_dataset(store, instances, arena, checks, formulas)
     return SynthDataset(store, targets, ground, config)
 
@@ -497,52 +502,50 @@ def _verify_dataset(store, instances, arena, checks, formulas) -> None:
 
 
 def write_dataset(dataset: SynthDataset, outdir) -> None:
-    """Write triples.tsv, targets_{train,valid,test}.tsv, ground.tsv and
-    config.txt into `outdir`, creating it; if one fails, none written stays."""
+    """Write the dataset directory into `outdir`, creating it; if one file
+    fails, none written stays."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     files = {out / "triples.tsv": [dataset.store.to_triples_text()]}
-    for split in ("train", "valid", "test"):
+    for split in SPLITS:
         rows = dataset.targets_for(split)
         files[out / f"targets_{split}.tsv"] = [f"{h}\t{r}\t{t}\n" for h, r, t in rows]
     files[out / "ground.tsv"] = [f"{i}\t{e}\t{role}\n" for i, e, role in dataset.ground]
-    files[out / "config.txt"] = [f"{k}={v}\n" for k, v in sorted(dataset.config.items())]
+    files[out / "config.txt"] = [f"{k}={dataset.config[k]}\n" for k in _CONFIG_KEYS]
     write_files(files)
 
 
 def load_dataset(datadir) -> SynthDataset:
-    """Read a directory produced by write_dataset.  Each count that gen
-    recorded in config.txt (entities, support plus noise triples, instances)
-    must match the files, when config.txt has its keys."""
+    """Read a directory that write_dataset wrote: the one place a dataset is
+    checked.  config.txt holds only keys gen writes, and each count it records
+    must match.  ground.tsv names store entities; with decoys recorded, it
+    lists instances 0..n-1 in order, each with its template's roles in order,
+    and the targets hold one (head, tail) pair per instance.  Each check reads
+    whole columns, and only a failing one looks for the first bad row."""
     path = Path(datadir)
     store = load_store(read_text(path / "triples.tsv"))
     targets: list[tuple[str, str, str, str]] = []
-    for split in ("train", "valid", "test"):
+    for split in SPLITS:
         name = f"targets_{split}.tsv"
         for h, r, t in parse_tsv(read_text(path / name), 3, name):
             targets.append((h, r, t, split))
-    ground_rows = parse_tsv(read_text(path / "ground.tsv"), 3, "ground.tsv")
-    ground = [
-        (_int_field("ground.tsv", "instance index", idx), e, role)
-        for idx, e, role in ground_rows
-    ]
+    rows = parse_tsv(read_text(path / "ground.tsv"), 3, "ground.tsv")
+    ground = [(_int("ground.tsv", "instance index", i), e, role) for i, e, role in rows]
+    indices, entities, roles = zip(*ground) if ground else ((), (), ())
     config: dict = {}
     for lineno, line in enumerate(read_text(path / "config.txt").split("\n"), 1):
         if not line:
             continue
         key, sep, value = line.partition("=")
-        if not sep or key in config:
-            fault = f"repeats key {key!r}" if sep else "has no '='"
+        if not sep or key in config or key not in _CONFIG_KEYS:
+            repeats = "repeats" if key in config else "has unknown"
+            fault = f"{repeats} key {key!r}" if sep else "has no '='"
             raise TripleFileError(f"config.txt line {lineno}: {line!r} {fault}")
-        config[key] = value
-    for key in ("instances", "noise_triples", "seed", "decoys", "support_triples",
-                "entities"):
-        if key in config:
-            config[key] = _int_field("config.txt", key, config[key])
+        config[key] = value if key in _TEXT_KEYS else _int("config.txt", key, value)
     found = {
         ("entities",): store.n_entities,
         ("support_triples", "noise_triples"): len(store.triples),
-        ("instances",): len({idx for idx, _, _ in ground}),
+        ("instances",): len(set(indices)),
     }
     for keys, count in found.items():
         recorded = sum(config.get(k, 0) for k in keys)
@@ -551,13 +554,41 @@ def load_dataset(datadir) -> SynthDataset:
                 f"config.txt: {' + '.join(keys)} is {recorded}, "
                 f"but the dataset has {count}"
             )
+    kind, decoys = config.get("relation"), config.get("decoys", 0)
+    if (kind, decoys) not in _TEMPLATES:
+        raise EvaluationError(f"unknown dataset kind {kind!r} with decoys={decoys}")
+    rels = {r for _, r, _, _ in targets}
+    if rels and rels != {kind}:
+        raise EvaluationError(f"dataset/relation mismatch: config says {kind!r}, "
+                              f"targets use {sorted(rels)}")
+    if not all(map(store._entity_ids.__contains__, entities)):
+        k = next(k for k, e in enumerate(entities) if e not in store._entity_ids)
+        raise TripleFileError(f"ground.tsv row {k + 1}: unknown entity {entities[k]!r}")
+    if "decoys" not in config:
+        return SynthDataset(store, targets, ground, config)
+    names = tuple(role for _, role in _TEMPLATES[kind, decoys][0])
+    m, n = len(names), -(-len(ground) // len(names))  # a short last instance counts
+    order = tuple(range(n))
+    if roles != names * n or any(indices[k::m] != order for k in range(m)):
+        want = [(i, role) for i in order for role in names]
+        k = next(k for k, row in enumerate(ground + [()]) if row[::2] != want[k])
+        raise TripleFileError(f"ground.tsv row {k + 1}: expected instance "
+                              f"{want[k][0]}'s {want[k][1]!r} row")
+    pairs = list(zip(entities[::m], entities[names.index("tail")::m]))  # head first
+    if sorted(pairs) != sorted(map(itemgetter(0, 2), targets)):
+        unmet = Counter(pairs)
+        for h, r, t, split in targets:
+            unmet[h, t] -= 1
+            if unmet[h, t] < 0:
+                raise TripleFileError(f"targets_{split}.tsv: {h} {r} {t} is no "
+                                      "instance's target, or repeats one")
+        i = next(i for i, pair in enumerate(pairs) if unmet[pair] > 0)
+        raise TripleFileError(f"targets_*.tsv: no row holds instance {i}'s target")
     return SynthDataset(store, targets, ground, config)
 
 
-def _int_field(filename: str, what: str, text: str) -> int:
+def _int(name: str, what: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise TripleFileError(
-            f"{filename}: {what} {text!r} is not an integer"
-        ) from None
+        raise TripleFileError(f"{name}: {what} {text!r} is not an integer") from None
